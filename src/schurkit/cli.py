@@ -141,7 +141,7 @@ def _cmd_cg(args) -> int:
     block = cg_block(lam, args.d)
     print(
         f"cg_block lambda={format_partition(lam) or '0'} d={args.d}: "
-        f"{block.matrix.shape[0]} x {block.matrix.shape[1]}"
+        f"{len(block.out_labels)} x {len(block.in_labels)}"
     )
     if args.json:
         _write_json(args.json, block.to_json())
@@ -225,13 +225,21 @@ def _cap_threads(k: int) -> None:
     """
     import os
 
-    if k < 1:
-        raise ValueError("--threads must be >= 1")
     os.environ["OMP_NUM_THREADS"] = str(k)
     os.environ["OPENBLAS_NUM_THREADS"] = str(k)
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, set(cpus[: min(k, len(cpus))]))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="K",
         help="cap BLAS threads for matrix construction",
@@ -336,3 +344,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -401,6 +401,8 @@ def verify_report(n: int, d: int, trials: int, seed: int) -> dict:
     """
     from .schur import schur_unitary
 
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     schur = schur_unitary(n, d)
     m = schur.matrix

@@ -208,7 +208,8 @@ def dim_P(lam: Partition) -> int:
     for i in range(1, d + 1):
         den *= math.factorial(lam.part(i) + d - i)
     q, r = divmod(num, den)
-    assert r == 0, (lam, num, den)
+    if r:
+        raise ArithmeticError(f"hook-length division for {lam} leaves {r}: {num}/{den}")
     return q
 
 
@@ -232,5 +233,6 @@ def dim_Q(lam: Partition, d: int) -> int:
     for m in range(1, d):
         den *= math.factorial(m)
     q, r = divmod(num, den)
-    assert r == 0, (lam, d, num, den)
+    if r:
+        raise ArithmeticError(f"Weyl division for {lam}, d={d} leaves {r}: {num}/{den}")
     return q

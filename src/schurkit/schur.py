@@ -131,24 +131,65 @@ def _consume_front_qudit(tensor: np.ndarray, d: int) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(nq * d, np_, rest // d)
 
 
-def _sector_cascade(n: int, d: int, initial: dict, prepare) -> dict:
-    """Run steps k = 1..n-1 over {lambda: (Q, P, R) tensor} sector states."""
-    state = initial
+def _release_front_qudit(tensor: np.ndarray, d: int) -> np.ndarray:
+    """(Q*d, P, R) -> (Q, P, d*R): the inverse of _consume_front_qudit."""
+    nqd, np_, rest = tensor.shape
+    x = tensor.reshape(nqd // d, d, np_, rest)
+    return x.transpose(0, 2, 1, 3).reshape(nqd // d, np_, d * rest)
+
+
+@cache
+def _path_offsets(target: Partition) -> dict:
+    """Where each predecessor's paths start on the path axis of target."""
+    offsets = {}
+    start = 0
+    for mu in remove_box_set(target):
+        offsets[mu] = start
+        start += dim_P(mu)
+    return offsets
+
+
+def _forward_step(state: dict, d: int, prepare) -> dict:
+    gathered: dict[Partition, dict[Partition, np.ndarray]] = {}
+    for lam, tensor in state.items():
+        y = cg_block(lam, d).dot(prepare(tensor, d))
+        for _, target, offset, count in _row_groups(lam, d):
+            gathered.setdefault(target, {})[lam] = y[offset : offset + count]
+    return {
+        target: np.concatenate([by_pred[m] for m in _path_offsets(target)], axis=1)
+        for target, by_pred in gathered.items()
+    }
+
+
+def _inverse_step(state: dict, d: int) -> dict:
+    prev = {}
+    for mu in dict.fromkeys(mu for target in state for mu in _path_offsets(target)):
+        width = dim_P(mu)
+        pieces = []
+        for _, target, _, _ in _row_groups(mu, d):
+            start = _path_offsets(target)[mu]
+            pieces.append(state[target][:, start : start + width])
+        x = cg_block(mu, d).dot(np.concatenate(pieces), transpose=True)
+        prev[mu] = _release_front_qudit(x, d)
+    return prev
+
+
+def _sector_cascade(
+    n: int, d: int, state: dict, direction: str, prepare=_consume_front_qudit
+) -> dict:
+    """Run the n-1 CG steps over {lambda: (Q, P, R) tensor} sector states.
+
+    Forward, from the single-box sector: prepare pairs each sector with its
+    next qudit, its CG block maps it into the sectors lambda + e_j, and each
+    of those stacks its predecessors along the path axis in canonical order.
+    Inverse, from the n-box sectors: the same steps, last first, through the
+    transposed blocks; the freed qudit returns to the front of the register.
+    """
     for _ in range(1, n):
-        gathered: dict[Partition, dict[Partition, np.ndarray]] = {}
-        for lam, tensor in state.items():
-            x = prepare(tensor, d)
-            y = (cg_block(lam, d).matrix @ x.reshape(x.shape[0], -1)).reshape(
-                -1, x.shape[1], x.shape[2]
-            )
-            for _, target, offset, count in _row_groups(lam, d):
-                gathered.setdefault(target, {})[lam] = y[offset : offset + count]
-        state = {
-            target: np.concatenate(
-                [by_pred[m] for m in remove_box_set(target) if m in by_pred], axis=1
-            )
-            for target, by_pred in gathered.items()
-        }
+        if direction == "forward":
+            state = _forward_step(state, d, prepare)
+        else:
+            state = _inverse_step(state, d)
     return state
 
 
@@ -156,47 +197,64 @@ def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitar
     """Build the dense Schur transform with labeled rows."""
     dim = _check_size(n, d, max_dim)
     init = {Partition([1]): np.eye(d).reshape(d, 1, d)}
-    state = _sector_cascade(n, d, init, _attach_column_qudit)
+    state = _sector_cascade(n, d, init, "forward", _attach_column_qudit)
 
     row_labels = []
     blocks = []
     rows = []
     for lam in enumerate_partitions(d, n):
-        if dim_Q(lam, d) == 0:
-            continue
         tensor = state[lam]
         dq, dp = dim_Q(lam, d), dim_P(lam)
-        assert tensor.shape == (dq, dp, dim)
+        if tensor.shape != (dq, dp, dim):
+            raise RuntimeError(
+                f"sector {lam} has shape {tensor.shape}, not {(dq, dp, dim)}"
+            )
         blocks.append((lam, len(row_labels), dq, dp))
         rows.append(tensor.reshape(dq * dp, dim))
         for q in enumerate_gz(lam, d):
             for p in enumerate_paths(lam):
                 row_labels.append((lam, q, p))
     matrix = np.concatenate(rows, axis=0)
-    assert matrix.shape == (dim, dim)
+    if matrix.shape != (dim, dim):
+        raise RuntimeError(f"sectors give {matrix.shape[0]} rows, not d^n = {dim}")
     matrix.setflags(write=False)
     row_index = {label: r for r, label in enumerate(row_labels)}
     return SchurUnitary(n, d, matrix, tuple(row_labels), row_index, tuple(blocks))
 
 
+def _cascade_apply(x: np.ndarray, n: int, d: int, direction: str) -> np.ndarray:
+    """U_Sch @ x or U_Sch^T @ x for x of shape (d^n, m), through the cascade.
+
+    Batched columns ride along as the least-significant part of the trailing
+    axis. Forward input rows are the computational basis and output rows the
+    canonical Schur order; the inverse swaps the two.
+    """
+    dim, m = x.shape
+    lams = enumerate_partitions(d, n)
+    if direction == "forward":
+        init = {Partition([1]): x.reshape(d, 1, d ** (n - 1) * m)}
+        sectors = _sector_cascade(n, d, init, direction)
+        return np.concatenate([sectors[lam].reshape(-1, m) for lam in lams])
+    sectors = {}
+    start = 0
+    for lam in lams:
+        dq, dp = dim_Q(lam, d), dim_P(lam)
+        sectors[lam] = x[start : start + dq * dp].reshape(dq, dp, m)
+        start += dq * dp
+    return _sector_cascade(n, d, sectors, direction)[Partition([1])].reshape(dim, m)
+
+
 def schur_matmul(x: np.ndarray, n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """U_Sch @ x for x of shape (d^n, m), via the cascade.
 
-    Batched columns ride along as the least-significant part of the trailing
-    axis, so this costs far less than materializing the d^n square matrix.
-    Rows of the result follow the canonical Schur row order.
+    This costs far less than materializing the d^n square matrix. Rows of
+    the result follow the canonical Schur row order.
     """
     dim = _check_size(n, d, max_dim)
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != dim:
         raise ValueError(f"x must have d^n = {dim} rows")
-    m = x.shape[1]
-    init = {Partition([1]): x.reshape(d, 1, d ** (n - 1) * m)}
-    sectors = _sector_cascade(n, d, init, _consume_front_qudit)
-    lams = [lam for lam in enumerate_partitions(d, n) if dim_Q(lam, d)]
-    return np.concatenate(
-        [sectors[lam].reshape(dim_Q(lam, d) * dim_P(lam), m) for lam in lams]
-    )
+    return _cascade_apply(x, n, d, "forward")
 
 
 def schur_labels(n: int, d: int) -> list[tuple[Partition, GzPattern, YyPath]]:
@@ -222,8 +280,8 @@ def schur_apply(
 
     Forward input is a length-d^n amplitude vector over the computational
     basis; the output is ordered by the canonical Schur row order (see
-    schur_labels). The inverse undoes the cascade by applying the adjoint
-    steps in reverse order; neither direction materializes the full matrix.
+    schur_labels). The inverse runs the same cascade backwards through the
+    transposed CG blocks; neither direction materializes the full matrix.
     """
     dim = _check_size(n, d, max_dim)
     if direction not in ("forward", "inverse"):
@@ -231,48 +289,7 @@ def schur_apply(
     v = np.asarray(state, dtype=complex).reshape(-1)
     if v.shape != (dim,):
         raise ValueError(f"state length {v.size} != d^n = {dim}")
-    lams = [lam for lam in enumerate_partitions(d, n) if dim_Q(lam, d)]
-
-    if direction == "forward":
-        sectors = _sector_cascade(
-            n, d, {Partition([1]): v.reshape(d, 1, d ** (n - 1))}, _consume_front_qudit
-        )
-        return np.concatenate(
-            [sectors[lam].reshape(dim_Q(lam, d) * dim_P(lam)) for lam in lams]
-        )
-
-    sectors: dict[Partition, np.ndarray] = {}
-    pos = 0
-    for lam in lams:
-        dq, dp = dim_Q(lam, d), dim_P(lam)
-        sectors[lam] = v[pos : pos + dq * dp].reshape(dq, dp, 1)
-        pos += dq * dp
-    for _ in range(n - 1, 0, -1):
-        prev: dict[Partition, np.ndarray] = {}
-        for lam_next, tensor in sectors.items():
-            _, np_, rest = tensor.shape
-            p_off = 0
-            for mu in remove_box_set(lam_next):
-                if len(mu) > d:
-                    continue
-                pw = dim_P(mu)
-                piece = tensor[:, p_off : p_off + pw, :]
-                p_off += pw
-                sub = next(
-                    (o, c) for _, t, o, c in _row_groups(mu, d) if t == lam_next
-                )
-                gj = cg_block(mu, d).matrix[sub[0] : sub[0] + sub[1]]
-                nq = dim_Q(mu, d)
-                x = (gj.T @ piece.reshape(sub[1], -1)).reshape(nq, d, pw, rest)
-                x = x.transpose(0, 2, 1, 3).reshape(nq, pw, d * rest)
-                if mu in prev:
-                    prev[mu] = prev[mu] + x
-                else:
-                    prev[mu] = x
-            assert p_off == np_
-        sectors = prev
-    out = sectors[Partition([1])]  # (d, 1, d^(n-1))
-    return out.reshape(dim)
+    return _cascade_apply(v.reshape(dim, 1), n, d, direction).reshape(dim)
 
 
 def compress_p(state: Mapping) -> dict:

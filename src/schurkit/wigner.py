@@ -32,7 +32,8 @@ intertwining at d >= 3.
 
 Invalid couplings (box additions leaving the partition lattice, interlacing
 failures) are exactly 0 by convention. Valid couplings always have a
-nonnegative radicand; that is asserted on the exact integers, never clamped.
+nonnegative radicand; that is checked on the exact integers (a negative one
+raises ArithmeticError), never clamped.
 """
 
 from __future__ import annotations
@@ -110,7 +111,10 @@ def _value(mu_parts: tuple, j: int, mup_parts: tuple, j_prime: int, d: int) -> f
         for t in range(1, d):
             if t != j_prime:
                 den *= mpt[j_prime - 1] - mpt[t - 1] + 1
-    assert den != 0 and num * den >= 0, (mu, j, mup, j_prime, d, num, den)
+    if den == 0 or num * den < 0:
+        raise ArithmeticError(
+            f"radicand {num}/{den} for (mu={mu}, j={j}, mu'={mup}, j'={j_prime}, d={d})"
+        )
     return _sign(j, j_prime) * math.sqrt(num / den)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -179,3 +180,67 @@ def test_block_json_schema():
     assert data["cols"][0] == {"gz": "1", "i": 1}
     entry = data["matrix"][0][0]
     assert entry == [1.0, 0.0]
+
+
+def test_weight_grouped_product_matches_dense():
+    rng = np.random.default_rng(31)
+    cases = [
+        (lam, d)
+        for d in (1, 2, 3, 4)
+        for size in range(5)
+        for lam in enumerate_partitions(d, size)
+    ]
+    cases.append((P(5, 3, 1), 4))
+    grouped = 0
+    for lam, d in cases:
+        block = cg_block(lam, d)
+        m = block.matrix
+        grouped += len(block.groups) > 1
+        shape = (m.shape[0], 2, 3)
+        for x in (
+            rng.standard_normal(shape),
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        ):
+            flat = x.reshape(m.shape[0], -1)
+            assert np.max(np.abs(block.dot(x).reshape(flat.shape) - m @ flat)) < 1e-13
+            assert np.max(
+                np.abs(block.dot(x, transpose=True).reshape(flat.shape) - m.T @ flat)
+            ) < 1e-13
+    assert grouped >= 2
+    # (5,3,1) at d=4: 1440 x 1440, stored as weight sub-blocks none wider than 32
+    big = cg_block(P(5, 3, 1), 4)
+    assert max(g.blocks.shape[1] for g in big.groups) <= 32
+    assert sum(g.blocks.size for g in big.groups) < 0.02 * big.matrix.size
+
+
+def test_block_json_is_pinned():
+    """SHA-256 of `schurkit cg --json` for fixed blocks, dense and grouped."""
+    from schurkit.cli import _to_json_text
+
+    pins = {
+        (P(2, 1), 3): "6574d9cf15d10c8e19fbd40d6dd250e26e009be7483e532e5486593bfc8b4d32",
+        (P(3, 1), 2): "7826967ec61eba365ee61ce15f597e9e225c577a7522274c41f769c75f43b3dd",
+        (P(2, 1, 1), 4): "3b90ff62786084c6bc255d3771f735e8b2bcdce13399fd9aab3ffbecfd5d6c75",
+        (P(1), 6): "e60c6d5fc38826659377f5532bc5a4a55b005455c93441abc670d74d7bf157ed",
+        (P(3, 2), 4): "22b953123ff2a73dad424ba826570cb511b02c448e38bc2411d1556fda6a3017",
+    }
+    for (lam, d), digest in pins.items():
+        text = _to_json_text(cg_block(lam, d).to_json()) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (lam, d)
+
+
+def test_cross_weight_entry_raises(monkeypatch):
+    """An entry linking labels of different torus weight breaks the build."""
+    from schurkit import clebsch_gordan
+
+    def cross_weight(lam_parts, d, chain, i):
+        # column (q = (1)/(1), i = 1) has weight (2, 0); row (2)/() has (0, 2)
+        return ((1, ((2,), ()), 1.0),)
+
+    cg_block.cache_clear()
+    monkeypatch.setattr(clebsch_gordan, "_cg_column", cross_weight)
+    try:
+        with pytest.raises(RuntimeError, match="links weights"):
+            cg_block(P(1), 2)
+    finally:
+        cg_block.cache_clear()

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from schurkit.cli import run
 
@@ -119,3 +125,28 @@ def test_float_formatting_17_digits(tmp_path, capsys):
     capsys.readouterr()
     text = path.read_text()
     assert "0.70710678118654757" in text
+
+
+def test_threads_below_one_is_an_argument_error(capsys):
+    assert run(["--threads", "0", "dims", "--d", "2", "--n", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_verify_zero_trials_is_an_argument_error(capsys):
+    assert run(["verify", "--n", "2", "--d", "2", "--trials", "0"]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["schurkit", "schurkit.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--n", "2", "--d", "2", "--trials", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ok" in proc.stdout

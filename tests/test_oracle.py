@@ -20,6 +20,7 @@ from schurkit.oracle import (
     standard_fillings,
     tensor_power,
     transposition,
+    verify_report,
     young_symmetrizer,
 )
 from schurkit.partitions import Partition, dim_Q, enumerate_partitions
@@ -224,3 +225,8 @@ def test_haar_unitary_seeded_and_unitary():
     u2 = haar_unitary(4, rng2)
     assert np.array_equal(u1, u2)
     assert np.max(np.abs(u1.conj().T @ u1 - np.eye(4))) < 1e-12
+
+
+def test_verify_report_needs_a_trial():
+    with pytest.raises(ValueError, match="trials"):
+        verify_report(2, 2, 0, 0)

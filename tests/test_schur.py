@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from schurkit.bases import enumerate_gz, enumerate_paths
-from schurkit.partitions import Partition, dim_P, dim_Q
+from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
+from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
 from schurkit.schur import (
     ResourceLimitError,
     compress_p,
@@ -154,10 +155,13 @@ def test_rotation_only_conjugate_is_q_tensor_identity():
 
 def test_forward_matches_matrix():
     rng = np.random.default_rng(21)
-    for n, d in [(3, 2), (2, 3), (4, 2)]:
+    # (4,4), (3,8), (2,16) reach CG blocks stored as weight sub-blocks
+    for n, d in [(3, 2), (2, 3), (4, 2), (4, 4), (3, 8), (2, 16)]:
         su = schur_unitary(n, d)
         v = rng.standard_normal(d**n)
         assert np.allclose(schur_apply(v, n, d), su.matrix @ v, atol=1e-13)
+        back = schur_apply(v, n, d, "inverse")
+        assert np.allclose(back, su.matrix.T @ v, atol=1e-13)
 
 
 def test_singlet_times_zero_lives_in_mixed_block():
@@ -196,7 +200,35 @@ def test_boundary_size_build_and_apply():
     rng = np.random.default_rng(30)
     v = rng.standard_normal(4096)
     f = schur_apply(v, 6, 4)
+    assert np.max(np.abs(f - su.matrix @ v)) < 1e-12
     assert np.max(np.abs(schur_apply(f, 6, 4, "inverse") - v)) < 1e-12
+
+
+def test_matrix_free_apply_above_dense_bound():
+    """At (8,4), D = 65536: round trip, and U = diag(x) scaling each Schur
+    row (lambda, q, p) by the monomial x^wt(q), with wt read off the
+    tableau of q."""
+    n, d = 8, 4
+    dim = d**n
+    with pytest.raises(ResourceLimitError):
+        schur_apply(np.zeros(dim), n, d)
+    rng = np.random.default_rng(40)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    f = schur_apply(v, n, d, max_dim=dim)
+    assert abs(np.linalg.norm(f) - 1.0) < 1e-10
+    assert np.max(np.abs(schur_apply(f, n, d, "inverse", max_dim=dim) - v)) < 1e-10
+
+    x = np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+    phases = functools.reduce(np.kron, [x] * n)  # diag of U^(x)n
+    weights = []
+    for lam in enumerate_partitions(d, n):
+        for q in enumerate_gz(lam, d):
+            entries = [e - 1 for row in gz_to_ssyt(q) for e in row]
+            weights.extend([np.bincount(entries, minlength=d)] * dim_P(lam))
+    monomials = np.prod(x ** np.array(weights), axis=1)
+    moved = schur_apply(phases * v, n, d, max_dim=dim)
+    assert np.max(np.abs(moved - monomials * f)) < 1e-10
 
 
 def test_resource_bound():
