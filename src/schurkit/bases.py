@@ -44,6 +44,13 @@ class GzPattern:
     def __setattr__(self, name, value):
         raise AttributeError("GzPattern is immutable")
 
+    @classmethod
+    def _trusted(cls, chain: tuple) -> GzPattern:
+        """A pattern from a chain already known to interlace; no checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chain", chain)
+        return self
+
     @property
     def d(self) -> int:
         return len(self.chain)
@@ -152,12 +159,14 @@ def enumerate_gz(lam: Partition, d: int) -> tuple[GzPattern, ...]:
     if len(lam) > d:
         return ()
     if d == 1:
-        return (GzPattern((lam,)),)
-    out = []
-    for mu in interlacing_set(lam, d):
-        for tail in enumerate_gz(mu, d - 1):
-            out.append(GzPattern((lam,) + tail.chain))
-    return tuple(out)
+        return (GzPattern._trusted((lam,)),)
+    # interlacing_set yields exactly the mu that interlace lam with at most
+    # d - 1 parts, so every chain below is valid by construction.
+    return tuple(
+        GzPattern._trusted((lam,) + tail.chain)
+        for mu in interlacing_set(lam, d)
+        for tail in enumerate_gz(mu, d - 1)
+    )
 
 
 @cache

@@ -33,6 +33,7 @@ class Gate:
     value: complex | None = None  # unit phase for "phase"
 
     def embed(self, size: int) -> np.ndarray:
+        """The gate as a dense size x size matrix (reference for replay)."""
         out = np.eye(size, dtype=complex)
         if self.kind == "rot":
             out[np.ix_((self.a, self.b), (self.a, self.b))] = self.block
@@ -46,7 +47,10 @@ class Gate:
                 "kind": "rot",
                 "a": self.a,
                 "b": self.b,
-                "block": [[[float(v.real), float(v.imag)] for v in row] for row in self.block],
+                "block": np.ascontiguousarray(self.block, dtype=complex)
+                .view(float)
+                .reshape(2, 2, 2)
+                .tolist(),
             }
         return {
             "kind": "phase",
@@ -67,9 +71,19 @@ class GateList:
         return sum(1 for g in self.gates if g.kind == "rot")
 
     def replay(self) -> np.ndarray:
+        """The product gate[0] @ gate[1] @ ..., built in place.
+
+        A rotation right-multiplies columns (a, b) by its 2x2 block and a
+        phase scales column a, so each gate costs O(size), not a dense
+        size x size product.
+        """
         out = np.eye(self.size, dtype=complex)
         for g in self.gates:
-            out = out @ g.embed(self.size)
+            if g.kind == "rot":
+                cols = [g.a, g.b]
+                out[:, cols] = out[:, cols] @ g.block
+            else:
+                out[:, g.a] *= g.value
         return out
 
     def to_json(self) -> dict:

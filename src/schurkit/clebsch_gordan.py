@@ -187,9 +187,10 @@ class CgBlock:
                 {"gz": format_ssyt(gz_to_ssyt(q)) if q.top.size else "", "i": i}
                 for q, i in self.in_labels
             ],
-            "matrix": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.matrix
-            ],
+            "matrix": np.ascontiguousarray(self.matrix, dtype=complex)
+            .view(float)
+            .reshape(*self.matrix.shape, 2)
+            .tolist(),
         }
 
 

@@ -40,11 +40,21 @@ def _fmt_float(x: float) -> str:
 
 
 def _to_json_text(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    if isinstance(obj, dict):
-        return "{" + ",".join(f'"{k}":{_to_json_text(v)}' for k, v in obj.items()) + "}"
+    """Deterministic JSON with 17-significant-digit floats.
+
+    Dense matrices arrive as nested lists of Python floats, so the exact
+    float type is tested first and a list of floats is formatted in one
+    join; numpy scalars and other types take the isinstance chain.
+    """
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g")
+    if kind is list and all(type(v) is float for v in obj):
+        return "[" + ",".join([format(v, ".17g") for v in obj]) + "]"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_to_json_text(v) for v in obj) + "]"
+        return "[" + ",".join([_to_json_text(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join([f'"{k}":{_to_json_text(v)}' for k, v in obj.items()]) + "}"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -217,31 +227,6 @@ def _cmd_circuit(args) -> int:
     return 0
 
 
-def _cap_threads(k: int) -> None:
-    """Cap matrix-construction parallelism to k threads.
-
-    CPU affinity is the reliable lever here (BLAS pools size themselves at
-    load time); the env vars cover any libraries loaded afterwards.
-    """
-    import os
-
-    os.environ["OMP_NUM_THREADS"] = str(k)
-    os.environ["OPENBLAS_NUM_THREADS"] = str(k)
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, set(cpus[: min(k, len(cpus))]))
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", metavar="FILE", help="write machine-readable output")
 
@@ -252,13 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Schur and Clebsch-Gordan transforms on n qudits.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="cap BLAS threads for matrix construction",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", help="table of lambda, dim_Q, dim_P over I_{d,n}")
@@ -330,8 +308,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is not None:
-        _cap_threads(args.threads)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

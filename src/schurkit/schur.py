@@ -78,9 +78,10 @@ class SchurUnitary:
                 }
                 for lam, q, p in self.row_labels
             ],
-            "matrix": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.matrix
-            ],
+            "matrix": np.ascontiguousarray(self.matrix, dtype=complex)
+            .view(float)
+            .reshape(*self.matrix.shape, 2)
+            .tolist(),
         }
 
 

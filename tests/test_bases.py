@@ -64,6 +64,17 @@ def test_enumerate_gz_counts_and_order():
             assert len(enumerate_gz(lam, d)) == dim_Q(lam, d)
 
 
+def test_enumerated_patterns_pass_public_validation():
+    """enumerate_gz skips the interlacing checks; GzPattern(chain) agrees."""
+    for d in range(1, 5):
+        for n in range(7):
+            for lam in enumerate_partitions(d, n):
+                pats = enumerate_gz(lam, d)
+                assert len(pats) == dim_Q(lam, d)
+                for pat in pats:
+                    assert GzPattern(pat.chain) == pat
+
+
 def test_gz_to_ssyt_paper_chain():
     chain = (P(4, 3, 1, 1), P(3, 3, 1), P(3, 3, 1), P(3, 1), P(2))
     tableau = gz_to_ssyt(GzPattern(chain))

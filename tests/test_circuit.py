@@ -1,9 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from schurkit.circuit import Gate, gate_count_report, two_level_decompose
+from schurkit.circuit import Gate, GateList, gate_count_report, two_level_decompose
 from schurkit.oracle import haar_unitary
 from schurkit.partitions import Partition
+from schurkit.schur import schur_unitary
 
 
 from conftest import brute_control_pairs
@@ -38,6 +41,30 @@ def test_replay_many_sizes():
         gl = two_level_decompose(u, tol=1e-10)
         assert gl.rotation_count <= size * (size - 1) // 2
         assert np.max(np.abs(gl.replay() - u)) < 1e-10
+
+
+def test_replay_matches_product_of_embeds():
+    """In-place replay equals the left-to-right product of dense embeds."""
+    rng = np.random.default_rng(4)
+    size = 16
+    gates = []
+    for _ in range(60):
+        a, b = (int(v) for v in rng.choice(size, 2, replace=False))
+        if rng.random() < 0.7:
+            gates.append(Gate("rot", a, b, block=haar_unitary(2, rng)))
+        else:
+            gates.append(Gate("phase", a, value=complex(np.exp(2j * np.pi * rng.random()))))
+    gl = GateList(size, tuple(gates))
+    assert {g.kind for g in gates} == {"rot", "phase"}
+    reference = reduce(np.matmul, (g.embed(size) for g in gates))
+    assert np.max(np.abs(gl.replay() - reference)) < 1e-13
+
+
+def test_replay_reproduces_schur_transform():
+    su = schur_unitary(7, 2)
+    gl = two_level_decompose(su.matrix.astype(complex), tol=1e-10)
+    assert gl.rotation_count > 0
+    assert np.max(np.abs(gl.replay() - su.matrix)) < 1e-10
 
 
 def test_rejects_non_unitary():
