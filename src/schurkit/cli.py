@@ -36,21 +36,19 @@ from .wigner import reduced_wigner_matrix
 
 
 def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    """17 significant digits; the same text as format(float(x), ".17g")."""
+    return "%.17g" % x
 
 
 def _to_json_text(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
-    Dense matrices arrive as nested lists of Python floats, so the exact
-    float type is tested first and a list of floats is formatted in one
-    join; numpy scalars and other types take the isinstance chain.
+    Dense matrices arrive as nested lists of Python floats, so a list of
+    exact floats is tested first and formatted in one join; scalars and
+    other types take the isinstance chain.
     """
-    kind = type(obj)
-    if kind is float:
-        return format(obj, ".17g")
-    if kind is list and all(type(v) is float for v in obj):
-        return "[" + ",".join([format(v, ".17g") for v in obj]) + "]"
+    if type(obj) is list and all(type(v) is float for v in obj):
+        return "[" + ",".join(map(_fmt_float, obj)) + "]"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join([_to_json_text(v) for v in obj]) + "]"
     if isinstance(obj, dict):
@@ -106,6 +104,10 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_gz(args) -> int:
     lam = parse_partition(args.lam)
+    if args.d < 1:
+        raise ValueError("d must be >= 1")
+    if len(lam) > args.d:
+        raise ValueError(f"lambda={lam} needs more than d={args.d} rows")
     patterns = enumerate_gz(lam, args.d)
     for q in patterns:
         print(format_ssyt(gz_to_ssyt(q)))

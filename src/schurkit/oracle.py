@@ -234,33 +234,14 @@ def standard_fillings(lam: Partition) -> list[StandardTableauFilling]:
     return out
 
 
-def _row_group(t: StandardTableauFilling):
-    """All permutations preserving each row of t setwise, as image tuples."""
-    n = t.n
-    groups = [row for row in t.rows if len(row) > 1]
+def _setwise_stabilizer(blocks, n: int):
+    """All permutations of 1..n that map each block onto itself."""
+    blocks = [block for block in blocks if len(block) > 1]
     base = list(range(1, n + 1))
-    for combo in itertools.product(
-        *(itertools.permutations(row) for row in groups)
-    ):
+    for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
         images = base[:]
-        for row, perm in zip(groups, combo):
-            for src, dst in zip(row, perm):
-                images[src - 1] = dst
-        yield Permutation(images)
-
-
-def _col_group(t: StandardTableauFilling):
-    cols = []
-    for c in range(t.shape.part(1)):
-        col = [row[c] for row in t.rows if len(row) > c]
-        if len(col) > 1:
-            cols.append(col)
-    n = t.n
-    base = list(range(1, n + 1))
-    for combo in itertools.product(*(itertools.permutations(col) for col in cols)):
-        images = base[:]
-        for col, perm in zip(cols, combo):
-            for src, dst in zip(col, perm):
+        for block, perm in zip(blocks, combo):
+            for src, dst in zip(block, perm):
                 images[src - 1] = dst
         yield Permutation(images)
 
@@ -273,10 +254,12 @@ def young_symmetrizer(t: StandardTableauFilling, d: int) -> np.ndarray:
     dim = d**n
     cols = np.arange(dim)
     rsum = np.zeros((dim, dim))
-    for r in _row_group(t):
+    for r in _setwise_stabilizer(t.rows, n):
         rsum[_perm_dest(r, d, n), cols] += 1.0
     csum = np.zeros((dim, dim))
-    for c in _col_group(t):
+    width = t.shape.part(1)
+    columns = [[row[c] for row in t.rows if len(row) > c] for c in range(width)]
+    for c in _setwise_stabilizer(columns, n):
         csum[_perm_dest(c, d, n), cols] += c.sign
     return (dim_P(t.shape) / math.factorial(n)) * (csum @ rsum)
 

@@ -4,11 +4,16 @@ Row order of the full unitary: lambda in canonical partition order, then GZ
 patterns in canonical order, then Young-Yamanouchi paths in rank order.
 Columns are the computational basis (i_1, ..., i_n), big-endian base d.
 
-The cascade is carried per lambda sector: after k steps the sector tensor has
-shape (dim Q_lambda, paths so far, d^k). Extending a sector with the next
-qudit and slicing the CG block rows by j routes it into the sectors
-lambda + e_j; stacking contributions over predecessors in canonical order
-reproduces exactly the path-rank order of the multiplicity register.
+The cascade is carried per lambda sector: after k steps the state is a list of
+sector tensors aligned with enumerate_partitions(d, k), each of shape
+(dim Q_lambda, paths so far, d^k). Extending a sector with the next qudit and
+slicing the CG block rows by j routes it into the sectors lambda + e_j. The
+routing of each step is one cached table (_step): visiting lambda in
+canonical order visits the predecessors of every target in the order its
+path axis stacks them, which is exactly the path-rank order of the
+multiplicity register. The forward step appends each row slice to its
+target; the inverse step walks the same table and cuts each target's path
+axis with a running cursor.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .partitions import (
     dim_Q,
     enumerate_partitions,
     format_partition,
-    remove_box_set,
 )
 
 DEFAULT_MAX_DIM = 4096
@@ -96,21 +100,6 @@ def _check_size(n: int, d: int, max_dim: int) -> int:
     return required
 
 
-@cache
-def _row_groups(lam: Partition, d: int) -> tuple:
-    """Row layout of cg_block(lam, d): (j, lambda + e_j, offset, count)."""
-    groups = []
-    offset = 0
-    for j in range(1, d + 1):
-        target = add_box(lam, j, d)
-        if target is None:
-            continue
-        count = dim_Q(target, d)
-        groups.append((j, target, offset, count))
-        offset += count
-    return tuple(groups)
-
-
 def _attach_column_qudit(tensor: np.ndarray, d: int) -> np.ndarray:
     """(Q, P, C) -> (Q*d, P, C*d): a fresh qudit axis, minor on both sides.
 
@@ -140,87 +129,85 @@ def _release_front_qudit(tensor: np.ndarray, d: int) -> np.ndarray:
 
 
 @cache
-def _path_offsets(target: Partition) -> dict:
-    """Where each predecessor's paths start on the path axis of target."""
-    offsets = {}
-    start = 0
-    for mu in remove_box_set(target):
-        offsets[mu] = start
-        start += dim_P(mu)
-    return offsets
+def _step(k: int, d: int) -> tuple:
+    """Routing of the CG step from k to k + 1 boxes, computed once.
 
-
-def _forward_step(state: dict, d: int, prepare) -> dict:
-    gathered: dict[Partition, dict[Partition, np.ndarray]] = {}
-    for lam, tensor in state.items():
-        y = cg_block(lam, d).dot(prepare(tensor, d))
-        for _, target, offset, count in _row_groups(lam, d):
-            gathered.setdefault(target, {})[lam] = y[offset : offset + count]
-    return {
-        target: np.concatenate([by_pred[m] for m in _path_offsets(target)], axis=1)
-        for target, by_pred in gathered.items()
-    }
-
-
-def _inverse_step(state: dict, d: int) -> dict:
-    prev = {}
-    for mu in dict.fromkeys(mu for target in state for mu in _path_offsets(target)):
-        width = dim_P(mu)
-        pieces = []
-        for _, target, _, _ in _row_groups(mu, d):
-            start = _path_offsets(target)[mu]
-            pieces.append(state[target][:, start : start + width])
-        x = cg_block(mu, d).dot(np.concatenate(pieces), transpose=True)
-        prev[mu] = _release_front_qudit(x, d)
-    return prev
-
-
-def _sector_cascade(
-    n: int, d: int, state: dict, direction: str, prepare=_consume_front_qudit
-) -> dict:
-    """Run the n-1 CG steps over {lambda: (Q, P, R) tensor} sector states.
-
-    Forward, from the single-box sector: prepare pairs each sector with its
-    next qudit, its CG block maps it into the sectors lambda + e_j, and each
-    of those stacks its predecessors along the path axis in canonical order.
-    Inverse, from the n-box sectors: the same steps, last first, through the
-    transposed blocks; the freed qudit returns to the front of the register.
+    One (lambda, routes) per lambda in enumerate_partitions(d, k), in that
+    order; routes are (t, rows) per valid j ascending, where t indexes
+    lambda + e_j in enumerate_partitions(d, k + 1) and rows is its row slice
+    of cg_block(lambda, d). A target stacks its predecessors in canonical
+    order, so walking this table in order fills each path axis in rank order.
     """
-    for _ in range(1, n):
-        if direction == "forward":
-            state = _forward_step(state, d, prepare)
-        else:
-            state = _inverse_step(state, d)
-    return state
+    index = {lam.parts: t for t, lam in enumerate(enumerate_partitions(d, k + 1))}
+    table = []
+    for lam in enumerate_partitions(d, k):
+        routes = []
+        start = 0
+        for j in range(1, d + 1):
+            target = add_box(lam, j, d)
+            if target is not None:
+                stop = start + dim_Q(target, d)
+                routes.append((index[target.parts], slice(start, stop)))
+                start = stop
+        table.append((lam, tuple(routes)))
+    return tuple(table)
+
+
+def _forward_step(state: list, k: int, d: int, prepare) -> list:
+    """Sectors with k boxes -> sectors with k + 1 boxes.
+
+    prepare pairs each sector with its next qudit, its CG block maps it into
+    the sectors lambda + e_j, and each target concatenates its pieces along
+    the path axis in the order the table visits its predecessors.
+    """
+    pieces: dict[int, list] = {}
+    for (lam, routes), tensor in zip(_step(k, d), state):
+        y = cg_block(lam, d).dot(prepare(tensor, d))
+        for t, rows in routes:
+            pieces.setdefault(t, []).append(y[rows])
+    return [np.concatenate(pieces[t], axis=1) for t in range(len(pieces))]
+
+
+def _inverse_step(state: list, k: int, d: int) -> list:
+    """Sectors with k + 1 boxes -> sectors with k boxes, through the
+    transposed blocks; the freed qudit returns to the front of the register."""
+    cursor = [0] * len(state)
+    prev = []
+    for lam, routes in _step(k, d):
+        width = dim_P(lam)
+        pieces = []
+        for t, _ in routes:
+            pieces.append(state[t][:, cursor[t] : cursor[t] + width])
+            cursor[t] += width
+        x = cg_block(lam, d).dot(np.concatenate(pieces), transpose=True)
+        prev.append(_release_front_qudit(x, d))
+    return prev
 
 
 def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitary:
     """Build the dense Schur transform with labeled rows."""
     dim = _check_size(n, d, max_dim)
-    init = {Partition([1]): np.eye(d).reshape(d, 1, d)}
-    state = _sector_cascade(n, d, init, "forward", _attach_column_qudit)
+    state = [np.eye(d).reshape(d, 1, d)]
+    for k in range(1, n):
+        state = _forward_step(state, k, d, _attach_column_qudit)
 
-    row_labels = []
     blocks = []
-    rows = []
-    for lam in enumerate_partitions(d, n):
-        tensor = state[lam]
+    start = 0
+    for lam, tensor in zip(enumerate_partitions(d, n), state):
         dq, dp = dim_Q(lam, d), dim_P(lam)
         if tensor.shape != (dq, dp, dim):
             raise RuntimeError(
                 f"sector {lam} has shape {tensor.shape}, not {(dq, dp, dim)}"
             )
-        blocks.append((lam, len(row_labels), dq, dp))
-        rows.append(tensor.reshape(dq * dp, dim))
-        for q in enumerate_gz(lam, d):
-            for p in enumerate_paths(lam):
-                row_labels.append((lam, q, p))
-    matrix = np.concatenate(rows, axis=0)
+        blocks.append((lam, start, dq, dp))
+        start += dq * dp
+    matrix = np.concatenate([t.reshape(-1, dim) for t in state], axis=0)
     if matrix.shape != (dim, dim):
         raise RuntimeError(f"sectors give {matrix.shape[0]} rows, not d^n = {dim}")
     matrix.setflags(write=False)
+    row_labels = tuple(schur_labels(n, d))
     row_index = {label: r for r, label in enumerate(row_labels)}
-    return SchurUnitary(n, d, matrix, tuple(row_labels), row_index, tuple(blocks))
+    return SchurUnitary(n, d, matrix, row_labels, row_index, tuple(blocks))
 
 
 def _cascade_apply(x: np.ndarray, n: int, d: int, direction: str) -> np.ndarray:
@@ -231,18 +218,20 @@ def _cascade_apply(x: np.ndarray, n: int, d: int, direction: str) -> np.ndarray:
     canonical Schur order; the inverse swaps the two.
     """
     dim, m = x.shape
-    lams = enumerate_partitions(d, n)
     if direction == "forward":
-        init = {Partition([1]): x.reshape(d, 1, d ** (n - 1) * m)}
-        sectors = _sector_cascade(n, d, init, direction)
-        return np.concatenate([sectors[lam].reshape(-1, m) for lam in lams])
-    sectors = {}
+        state = [x.reshape(d, 1, d ** (n - 1) * m)]
+        for k in range(1, n):
+            state = _forward_step(state, k, d, _consume_front_qudit)
+        return np.concatenate([t.reshape(-1, m) for t in state])
+    state = []
     start = 0
-    for lam in lams:
+    for lam in enumerate_partitions(d, n):
         dq, dp = dim_Q(lam, d), dim_P(lam)
-        sectors[lam] = x[start : start + dq * dp].reshape(dq, dp, m)
+        state.append(x[start : start + dq * dp].reshape(dq, dp, m))
         start += dq * dp
-    return _sector_cascade(n, d, sectors, direction)[Partition([1])].reshape(dim, m)
+    for k in range(n - 1, 0, -1):
+        state = _inverse_step(state, k, d)
+    return state[0].reshape(dim, m)
 
 
 def schur_matmul(x: np.ndarray, n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
@@ -262,8 +251,6 @@ def schur_labels(n: int, d: int) -> list[tuple[Partition, GzPattern, YyPath]]:
     """Row labels of the Schur basis in canonical row order."""
     out = []
     for lam in enumerate_partitions(d, n):
-        if dim_Q(lam, d) == 0:
-            continue
         for q in enumerate_gz(lam, d):
             for p in enumerate_paths(lam):
                 out.append((lam, q, p))

@@ -131,6 +131,8 @@ def reduced_wigner_matrix(mu: Partition, mu_dprime: Partition, d: int) -> np.nda
     0-indexed in the array. Restricted to its nonzero rows and columns the
     matrix is unitary; incompatible (mu, mu'') give the zero matrix.
     """
+    if len(mu) > d:
+        raise ValueError(f"mu={mu} needs more than d={d} rows")
     if len(mu_dprime) > max(d - 1, 0):
         raise ValueError(f"mu''={mu_dprime} needs more than d-1 rows")
     out = np.zeros((d, d))

@@ -51,6 +51,22 @@ def test_argument_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("lam, d", [("3,2,1", "2"), ("2,1", "0"), ("", "0")])
+def test_gz_lambda_must_fit_in_d_rows(lam, d, capsys):
+    # cg rejects the same input; gz used to print nothing and exit 0.
+    assert run(["gz", "--lambda", lam, "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_wigner_mu_must_fit_in_d_rows(capsys):
+    assert run(["wigner", "--mu", "3,2,1", "--mu-dprime", "1", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mu=" in captured.err
+
+
 def test_resource_bound_exit_code(capsys):
     assert run(["schur", "--n", "12", "--d", "2", "--max-dim", "2048"]) == 3
     err = capsys.readouterr().err

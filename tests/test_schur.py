@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
+from schurkit.oracle import extract_perm_irrep, standard_fillings, transposition
 from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
 from schurkit.schur import (
     ResourceLimitError,
@@ -229,6 +230,24 @@ def test_matrix_free_apply_above_dense_bound():
     monomials = np.prod(x ** np.array(weights), axis=1)
     moved = schur_apply(phases * v, n, d, max_dim=dim)
     assert np.max(np.abs(moved - monomials * f)) < 1e-10
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (7, 2), (5, 4), (4, 3)])
+def test_path_axis_follows_youngs_orthogonal_form(n, d):
+    # In Young's orthogonal form the adjacent transposition (k, k+1) has
+    # diagonal entry 1 / (c_{k+1} - c_k) on each path, where c_m is the content
+    # (column - row) of the box holding m in the path's standard tableau. This
+    # pins the order in which each sector stacks its predecessors' paths.
+    su = schur_unitary(n, d)
+    for lam in enumerate_partitions(d, n):
+        contents = [  # one {entry: content} per path, in rank order
+            {v: col - row for row, r in enumerate(t.rows) for col, v in enumerate(r)}
+            for t in standard_fillings(lam)
+        ]
+        for k in range(1, n):
+            block = extract_perm_irrep(su, lam, transposition(n, k, k + 1))
+            expected = [1 / (c[k + 1] - c[k]) for c in contents]
+            assert np.max(np.abs(np.diag(block) - expected)) < 1e-12, (lam, k)
 
 
 def test_resource_bound():

@@ -92,6 +92,14 @@ def test_incompatible_control_gives_zero_matrix():
     assert np.all(mat == 0.0)
 
 
+def test_matrix_rejects_mu_beyond_d_rows():
+    # The same input ReducedWignerQuery and cg_block reject.
+    with pytest.raises(ValueError, match="mu="):
+        reduced_wigner_matrix(P(3, 2, 1), P(1), 2)
+    with pytest.raises(ValueError):
+        ReducedWignerQuery(P(3, 2, 1), 1, P(1), 0, 2)
+
+
 def test_memo_is_consistent():
     q = ReducedWignerQuery(P(2, 1), 1, P(2), 1, 3)
     assert reduced_wigner(q) == reduced_wigner(q)
