@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonform import Pairs, json_lists
 from .partitions import (
     Partition,
     add_box,
@@ -41,17 +42,10 @@ class Gate:
             out[self.a, self.a] = self.value
         return out
 
-    def to_json(self) -> dict:
+    def json_payload(self) -> dict:
+        """Schema of one gate, the block as [re, im] pairs (array form)."""
         if self.kind == "rot":
-            return {
-                "kind": "rot",
-                "a": self.a,
-                "b": self.b,
-                "block": np.ascontiguousarray(self.block, dtype=complex)
-                .view(float)
-                .reshape(2, 2, 2)
-                .tolist(),
-            }
+            return {"kind": "rot", "a": self.a, "b": self.b, "block": Pairs(self.block)}
         return {
             "kind": "phase",
             "a": self.a,
@@ -86,8 +80,12 @@ class GateList:
                 out[:, g.a] *= g.value
         return out
 
+    def json_payload(self) -> dict:
+        """Schema: size, gates in replay order (array form)."""
+        return {"size": self.size, "gates": [g.json_payload() for g in self.gates]}
+
     def to_json(self) -> dict:
-        return {"size": self.size, "gates": [g.to_json() for g in self.gates]}
+        return json_lists(self.json_payload())
 
 
 def two_level_decompose(u: np.ndarray, tol: float = 1e-10) -> GateList:
@@ -106,9 +104,11 @@ def two_level_decompose(u: np.ndarray, tol: float = 1e-10) -> GateList:
     v = u.copy()
     gates: list[Gate] = []
     for c in range(size):
-        for r in range(c + 1, size):
-            if v[r, c] == 0:
-                continue
+        # A rotation on rows (c, r) changes column c only at row r, so the
+        # nonzero rows below the pivot are found once per column. The update
+        # stays full width: a product over columns >= c alone rounds some
+        # zeros to -0.0 where the full one gives +0.0, which changes the JSON.
+        for r in (np.flatnonzero(v[c + 1 :, c]) + c + 1).tolist():
             nm = np.hypot(abs(v[c, c]), abs(v[r, c]))
             g = np.array(
                 [
@@ -119,9 +119,8 @@ def two_level_decompose(u: np.ndarray, tol: float = 1e-10) -> GateList:
             v[[c, r], :] = g @ v[[c, r], :]
             v[r, c] = 0.0
             gates.append(Gate("rot", c, r, block=g.conj().T))
-    for i in range(size):
-        if v[i, i] != 1.0:
-            gates.append(Gate("phase", i, value=complex(v[i, i])))
+    for i in np.flatnonzero(np.diagonal(v) != 1.0).tolist():
+        gates.append(Gate("phase", i, value=complex(v[i, i])))
     return GateList(size, tuple(gates))
 
 

@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .bases import GzPattern, enumerate_gz, format_ssyt, gz_to_ssyt
+from .jsonform import Pairs, json_lists
 from .partitions import Partition, add_box, dim_Q, format_partition
 from .wigner import _value as _wigner_value
 
@@ -175,8 +176,8 @@ class CgBlock:
             start = stop
         return out[back]
 
-    def to_json(self) -> dict:
-        """Schema: lambda, d, rows, cols, matrix as [re, im] pairs."""
+    def json_payload(self) -> dict:
+        """Schema: lambda, d, rows, cols, matrix as [re, im] pairs (array form)."""
         return {
             "lambda": format_partition(self.lam),
             "d": self.d,
@@ -187,11 +188,11 @@ class CgBlock:
                 {"gz": format_ssyt(gz_to_ssyt(q)) if q.top.size else "", "i": i}
                 for q, i in self.in_labels
             ],
-            "matrix": np.ascontiguousarray(self.matrix, dtype=complex)
-            .view(float)
-            .reshape(*self.matrix.shape, 2)
-            .tolist(),
+            "matrix": Pairs(self.matrix),
         }
+
+    def to_json(self) -> dict:
+        return json_lists(self.json_payload())
 
 
 def _weight_groups(row_weights: list, col_weights: list, entries: list) -> tuple:
@@ -239,6 +240,8 @@ def cg_block(lam: Partition, d: int) -> CgBlock:
     canonical order; columns over GZ patterns of lambda in canonical order,
     then i in 1..d. Unitary by construction (verified in tests to 1e-12).
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if len(lam) > d:
         raise ValueError(f"lambda={lam} needs more than d={d} rows")
     in_labels = [(q, i) for q in enumerate_gz(lam, d) for i in range(1, d + 1)]

@@ -8,6 +8,7 @@ digits so identical flags (and seed) give byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from .bases import (
 )
 from .circuit import gate_count_report, two_level_decompose
 from .clebsch_gordan import cg_block
+from .jsonform import Pairs
 from .oracle import verify_report
 from .partitions import (
     dim_P,
@@ -35,24 +37,17 @@ from .schur import ResourceLimitError, schur_unitary
 from .wigner import reduced_wigner_matrix
 
 
+# Floats formatted per write when an array is streamed; bounds the text and
+# the Python floats alive at once.
+_CHUNK_FLOATS = 1 << 16
+
+
 def _fmt_float(x: float) -> str:
     """17 significant digits; the same text as format(float(x), ".17g")."""
     return "%.17g" % x
 
 
-def _to_json_text(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats.
-
-    Dense matrices arrive as nested lists of Python floats, so a list of
-    exact floats is tested first and formatted in one join; scalars and
-    other types take the isinstance chain.
-    """
-    if type(obj) is list and all(type(v) is float for v in obj):
-        return "[" + ",".join(map(_fmt_float, obj)) + "]"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join([_to_json_text(v) for v in obj]) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join([f'"{k}":{_to_json_text(v)}' for k, v in obj.items()]) + "}"
+def _scalar_text(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -64,32 +59,84 @@ def _to_json_text(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _template(shape: tuple, entry: str) -> str:
+    """Format string of an array of the given shape, `entry` per item."""
+    for size in reversed(shape):
+        entry = "[" + ",".join([entry] * size) + "]"
+    return entry
+
+
+def _emit_array(a: np.ndarray, entry: str, write) -> None:
+    """Write a real array's rows, at most _CHUNK_FLOATS floats per write.
+
+    Every row is formatted by one template built from the trailing shape,
+    so no nested list and no per-float call is made.
+    """
+    row = _template(a.shape[1:], entry)
+    step = max(1, _CHUNK_FLOATS // max(1, math.prod(a.shape[1:])))
+    write("[")
+    for start in range(0, len(a), step):
+        chunk = a[start : start + step]
+        if start:
+            write(",")
+        write(",".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+    write("]")
+
+
+def _emit(obj, write) -> None:
+    """Write obj as deterministic JSON with 17-significant-digit floats.
+
+    Dicts, lists and tuples are walked; a float ndarray is written as nested
+    lists of floats and a Pairs as nested [re, im] pairs (see jsonform).
+    """
+    if isinstance(obj, dict):
+        sep = "{"
+        for k, v in obj.items():
+            write(f'{sep}"{k}":')
+            _emit(v, write)
+            sep = ","
+        write("}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        sep = "["
+        for v in obj:
+            write(sep)
+            _emit(v, write)
+            sep = ","
+        write("]" if obj else "[]")
+    elif isinstance(obj, Pairs):
+        if np.iscomplexobj(obj.values):
+            _emit_array(obj.floats(), "%.17g", write)
+        else:
+            _emit_array(obj.values, "[%.17g,0]", write)  # +0.0 imaginary parts
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        _emit_array(obj, "%.17g", write)
+    else:
+        write(_scalar_text(obj))
+
+
+def _to_json_text(obj) -> str:
+    parts: list[str] = []
+    _emit(obj, parts.append)
+    return "".join(parts)
+
+
 def _write_json(path: str, obj) -> None:
+    """Stream obj as JSON to path; arrays are never turned into lists."""
     with open(path, "w") as fh:
-        fh.write(_to_json_text(obj))
+        _emit(obj, fh.write)
         fh.write("\n")
 
 
 def _cmd_dims(args) -> int:
+    rows = [
+        {"lambda": format_partition(lam), "dim_Q": dim_Q(lam, args.d), "dim_P": dim_P(lam)}
+        for lam in enumerate_partitions(args.d, args.n)
+    ]
     print(f"{'lambda':<16}{'dim_Q':>8}{'dim_P':>8}")
-    for lam in enumerate_partitions(args.d, args.n):
-        print(f"{format_partition(lam):<16}{dim_Q(lam, args.d):>8}{dim_P(lam):>8}")
+    for row in rows:
+        print(f"{row['lambda']:<16}{row['dim_Q']:>8}{row['dim_P']:>8}")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "d": args.d,
-                "n": args.n,
-                "rows": [
-                    {
-                        "lambda": format_partition(lam),
-                        "dim_Q": dim_Q(lam, args.d),
-                        "dim_P": dim_P(lam),
-                    }
-                    for lam in enumerate_partitions(args.d, args.n)
-                ],
-            },
-        )
+        _write_json(args.json, {"d": args.d, "n": args.n, "rows": rows})
     return 0
 
 
@@ -142,7 +189,7 @@ def _cmd_wigner(args) -> int:
                 "mu": format_partition(mu),
                 "mu_dprime": format_partition(mupp),
                 "d": args.d,
-                "matrix": [[float(v) for v in row] for row in mat],
+                "matrix": mat,
             },
         )
     return 0
@@ -156,7 +203,7 @@ def _cmd_cg(args) -> int:
         f"{len(block.out_labels)} x {len(block.in_labels)}"
     )
     if args.json:
-        _write_json(args.json, block.to_json())
+        _write_json(args.json, block.json_payload())
     return 0
 
 
@@ -169,7 +216,7 @@ def _cmd_schur(args) -> int:
             f" path={format_path(p) or '-'}"
         )
     if args.json:
-        _write_json(args.json, su.to_json())
+        _write_json(args.json, su.json_payload())
     return 0
 
 
@@ -223,7 +270,7 @@ def _cmd_circuit(args) -> int:
             f"two-level synthesis of U_Sch: {gl.rotation_count} rotations, "
             f"{len(gl.gates) - gl.rotation_count} phases"
         )
-        payload["gate_list"] = gl.to_json()
+        payload["gate_list"] = gl.json_payload()
     if args.json:
         _write_json(args.json, payload)
     return 0

@@ -36,6 +36,7 @@ from .bases import (
     unrank_path,
 )
 from .clebsch_gordan import cg_block
+from .jsonform import Pairs, json_lists
 from .partitions import (
     Partition,
     add_box,
@@ -70,7 +71,8 @@ class SchurUnitary:
                 return self.matrix[start : start + dq * dp]
         raise KeyError(f"no block for {lam}")
 
-    def to_json(self) -> dict:
+    def json_payload(self) -> dict:
+        """Schema: n, d, row_labels, matrix as [re, im] pairs (array form)."""
         return {
             "n": self.n,
             "d": self.d,
@@ -82,11 +84,11 @@ class SchurUnitary:
                 }
                 for lam, q, p in self.row_labels
             ],
-            "matrix": np.ascontiguousarray(self.matrix, dtype=complex)
-            .view(float)
-            .reshape(*self.matrix.shape, 2)
-            .tolist(),
+            "matrix": Pairs(self.matrix),
         }
+
+    def to_json(self) -> dict:
+        return json_lists(self.json_payload())
 
 
 def _check_size(n: int, d: int, max_dim: int) -> int:

@@ -131,6 +131,8 @@ def reduced_wigner_matrix(mu: Partition, mu_dprime: Partition, d: int) -> np.nda
     0-indexed in the array. Restricted to its nonzero rows and columns the
     matrix is unitary; incompatible (mu, mu'') give the zero matrix.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if len(mu) > d:
         raise ValueError(f"mu={mu} needs more than d={d} rows")
     if len(mu_dprime) > max(d - 1, 0):

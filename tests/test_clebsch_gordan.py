@@ -244,3 +244,9 @@ def test_cross_weight_entry_raises(monkeypatch):
             cg_block(P(1), 2)
     finally:
         cg_block.cache_clear()
+
+
+def test_block_rejects_d_below_one():
+    # interlacing_set(Partition(), 0) never reaches its base case
+    with pytest.raises(ValueError, match="d must be"):
+        cg_block(P(), 0)

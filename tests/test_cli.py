@@ -67,6 +67,22 @@ def test_wigner_mu_must_fit_in_d_rows(capsys):
     assert "mu=" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cg", "--lambda", "", "--d", "0"],
+        ["wigner", "--mu", "", "--mu-dprime", "", "--d", "0"],
+        ["dims", "--d", "0", "--n", "2"],
+    ],
+)
+def test_d_zero_is_an_argument_error(argv, capsys):
+    # cg ended in a RecursionError, wigner exited 0, dims printed its header.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d must be >= 1" in captured.err
+
+
 def test_resource_bound_exit_code(capsys):
     assert run(["schur", "--n", "12", "--d", "2", "--max-dim", "2048"]) == 3
     err = capsys.readouterr().err
@@ -144,6 +160,9 @@ def test_dense_json_is_pinned(tmp_path, capsys):
         ("schur", 5, 2): "5c75deed56e0439c0a58b3c2045bc7a1a5a22721bc78910480803339f08440bb",
         ("circuit", 4, 2): "532d8b525213d0e2db0edded678d99d64a7f9998c1ec5ea862601334da02e5e3",
         ("circuit", 3, 3): "0a78a94113350024c7bd2c13d40f4b2e6f9bb6d7fef2e0e00926c5637d83fa3b",
+        ("circuit", 6, 2): "0a93579505fe9a886abaa39cab8d3fc8ef8dc1aba829d6e7dd06859600c7ad1f",
+        # a Givens update over columns >= c alone writes -0 where this has 0
+        ("circuit", 3, 2): "8c65f32167a6255b20687102fb153341f9be03a563d9e302f73671938f51bfc1",
     }
     for (command, n, d), digest in pins.items():
         path = tmp_path / f"{command}_{n}_{d}.json"

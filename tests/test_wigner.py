@@ -98,6 +98,8 @@ def test_matrix_rejects_mu_beyond_d_rows():
         reduced_wigner_matrix(P(3, 2, 1), P(1), 2)
     with pytest.raises(ValueError):
         ReducedWignerQuery(P(3, 2, 1), 1, P(1), 0, 2)
+    with pytest.raises(ValueError, match="d must be"):
+        reduced_wigner_matrix(P(), P(), 0)
 
 
 def test_memo_is_consistent():
