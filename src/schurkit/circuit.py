@@ -10,10 +10,11 @@ structural quantity behind the polynomial gate-count claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .jsonform import Pairs, json_lists
+from .jsonform import Records, json_lists
 from .partitions import (
     Partition,
     add_box,
@@ -42,47 +43,97 @@ class Gate:
             out[self.a, self.a] = self.value
         return out
 
-    def json_payload(self) -> dict:
-        """Schema of one gate, the block as [re, im] pairs (array form)."""
-        if self.kind == "rot":
-            return {"kind": "rot", "a": self.a, "b": self.b, "block": Pairs(self.block)}
-        return {
-            "kind": "phase",
-            "a": self.a,
-            "value": [float(self.value.real), float(self.value.imag)],
-        }
+
+# One JSON record per gate: indices with %d, floats with %.17g like every
+# other float the CLI writes. GateList.json_payload fills them row by row.
+_ROT_RECORD = (
+    '{"kind":"rot","a":%d,"b":%d,"block":'
+    "[[[%.17g,%.17g],[%.17g,%.17g]],[[%.17g,%.17g],[%.17g,%.17g]]]}"
+)
+_PHASE_RECORD = '{"kind":"phase","a":%d,"value":[%.17g,%.17g]}'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateList:
-    """Ordered two-level gates reconstructing a size x size unitary."""
+    """Two-level gates reconstructing a size x size unitary, stored as arrays.
+
+    Replay order is every rotation in turn, then every phase: rotation k
+    acts on basis states pairs[k] = (a, b) with the 2x2 unitary blocks[k],
+    phase k multiplies state phase_index[k] by phases[k]. That is the order
+    a Givens sweep produces; the phases act on distinct states, so they
+    commute with each other.
+    """
 
     size: int
-    gates: tuple[Gate, ...]
+    pairs: np.ndarray  # (R, 2) int
+    blocks: np.ndarray  # (R, 2, 2) complex
+    phase_index: np.ndarray  # (P,) int, distinct
+    phases: np.ndarray  # (P,) complex
+
+    def __post_init__(self) -> None:
+        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
+        blocks = np.ascontiguousarray(self.blocks, dtype=complex).reshape(-1, 2, 2)
+        phase_index = np.asarray(self.phase_index, dtype=np.intp).reshape(-1)
+        phases = np.ascontiguousarray(self.phases, dtype=complex).reshape(-1)
+        if len(blocks) != len(pairs) or len(phases) != len(phase_index):
+            raise ValueError("one block per pair and one phase per index")
+        indices = np.concatenate([pairs.ravel(), phase_index])
+        if np.any((indices < 0) | (indices >= self.size)):
+            raise ValueError(f"gate index outside 0..{self.size - 1}")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValueError("a rotation needs two distinct states")
+        ordered = np.sort(phase_index)  # np.unique would import numpy.ma, ~20 ms cold
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("phase indices must be distinct")
+        for name, value in (
+            ("pairs", pairs),
+            ("blocks", blocks),
+            ("phase_index", phase_index),
+            ("phases", phases),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def rotation_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind == "rot")
+        return len(self.pairs)
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates in replay order, one Gate each (built on first use)."""
+        rotations = (
+            Gate("rot", a, b, block=block)
+            for (a, b), block in zip(self.pairs.tolist(), self.blocks)
+        )
+        phases = (
+            Gate("phase", a, value=value)
+            for a, value in zip(self.phase_index.tolist(), self.phases.tolist())
+        )
+        return (*rotations, *phases)
 
     def replay(self) -> np.ndarray:
         """The product gate[0] @ gate[1] @ ..., built in place.
 
-        A rotation right-multiplies columns (a, b) by its 2x2 block and a
-        phase scales column a, so each gate costs O(size), not a dense
-        size x size product.
+        Works on the transpose of the product, so a rotation mixes two
+        contiguous rows (a, b) by its transposed 2x2 block, O(size) each;
+        the phases then scale their rows in one step.
         """
-        out = np.eye(self.size, dtype=complex)
-        for g in self.gates:
-            if g.kind == "rot":
-                cols = [g.a, g.b]
-                out[:, cols] = out[:, cols] @ g.block
-            else:
-                out[:, g.a] *= g.value
-        return out
+        t = np.eye(self.size, dtype=complex)
+        rows = np.empty((2, self.size), dtype=complex)
+        for (a, b), block_t in zip(self.pairs.tolist(), self.blocks.transpose(0, 2, 1)):
+            target = t[a :: b - a][:2]  # rows a and b, in that order
+            rows[...] = target
+            np.matmul(block_t, rows, out=target)
+        t[self.phase_index] *= self.phases[:, None]
+        return t.T
 
     def json_payload(self) -> dict:
         """Schema: size, gates in replay order (array form)."""
-        return {"size": self.size, "gates": [g.json_payload() for g in self.gates]}
+        rotations = np.concatenate([self.pairs, self.blocks.view(float).reshape(-1, 8)], axis=1)
+        phases = np.column_stack([self.phase_index, self.phases.real, self.phases.imag])
+        return {
+            "size": self.size,
+            "gates": Records(((_ROT_RECORD, rotations), (_PHASE_RECORD, phases))),
+        }
 
     def to_json(self) -> dict:
         return json_lists(self.json_payload())
@@ -99,29 +150,50 @@ def two_level_decompose(u: np.ndarray, tol: float = 1e-10) -> GateList:
     size = u.shape[0]
     if u.ndim != 2 or u.shape[1] != size:
         raise ValueError("input must be square")
-    if np.max(np.abs(u.conj().T @ u - np.eye(size))) >= tol:
+    # Written so that a NaN residual fails the check too.
+    if not np.max(np.abs(u.conj().T @ u - np.eye(size))) < tol:
         raise ValueError(f"input is not unitary to {tol}")
     v = u.copy()
-    gates: list[Gate] = []
+    pairs: list[tuple[int, int]] = []
+    mixers: list[np.ndarray] = []  # per column, the 2x2 g of each rotation
+    rows = np.empty((2, size), dtype=complex)
     for c in range(size):
         # A rotation on rows (c, r) changes column c only at row r, so the
-        # nonzero rows below the pivot are found once per column. The update
-        # stays full width: a product over columns >= c alone rounds some
-        # zeros to -0.0 where the full one gives +0.0, which changes the JSON.
-        for r in (np.flatnonzero(v[c + 1 :, c]) + c + 1).tolist():
-            nm = np.hypot(abs(v[c, c]), abs(v[r, c]))
-            g = np.array(
-                [
-                    [np.conj(v[c, c]) / nm, np.conj(v[r, c]) / nm],
-                    [-v[r, c] / nm, v[c, c] / nm],
-                ]
-            )
-            v[[c, r], :] = g @ v[[c, r], :]
+        # nonzero rows below the pivot are found once per column.
+        below = (np.flatnonzero(v[c + 1 :, c]) + c + 1).tolist()
+        if not below:
+            continue
+        column = np.empty((len(below), 2, 2), dtype=complex)
+        pivot = v[c]
+        for g, r in zip(column, below):
+            x, y = pivot[c], v[r, c]
+            nm = np.hypot(abs(x), abs(y))
+            g[0, 0] = np.conj(x) / nm
+            g[0, 1] = np.conj(y) / nm
+            g[1, 0] = -y / nm
+            g[1, 1] = x / nm
+            # The update stays one full-width product of the two rows, read
+            # from a contiguous copy. Over columns >= c alone it turns some
+            # +0.0 into -0.0, and entry by entry it rounds differently; both
+            # change the gate bits and so the JSON.
+            target = v[c :: r - c][:2]
+            rows[...] = target
+            np.matmul(g, rows, out=target)
             v[r, c] = 0.0
-            gates.append(Gate("rot", c, r, block=g.conj().T))
-    for i in np.flatnonzero(np.diagonal(v) != 1.0).tolist():
-        gates.append(Gate("phase", i, value=complex(v[i, i])))
-    return GateList(size, tuple(gates))
+        pairs += [(c, r) for r in below]
+        mixers.append(column)
+    # Rotation k acts on the product as g_k^H; conjugation and transposition
+    # are exact, so the blocks keep every bit of the g_k.
+    stack = np.concatenate(mixers) if mixers else np.empty((0, 2, 2), dtype=complex)
+    diagonal = np.diagonal(v)
+    phase_index = np.flatnonzero(diagonal != 1.0)
+    return GateList(
+        size,
+        np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        stack.conj().transpose(0, 2, 1),
+        phase_index,
+        diagonal[phase_index],
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .bases import (
 )
 from .circuit import gate_count_report, two_level_decompose
 from .clebsch_gordan import cg_block
-from .jsonform import Pairs
+from .jsonform import Pairs, Records
 from .oracle import verify_report
 from .partitions import (
     dim_P,
@@ -66,20 +66,27 @@ def _template(shape: tuple, entry: str) -> str:
     return entry
 
 
-def _emit_array(a: np.ndarray, entry: str, write) -> None:
-    """Write a real array's rows, at most _CHUNK_FLOATS floats per write.
+def _emit_rows(a: np.ndarray, row: str, write, first: bool = True) -> bool:
+    """Write a's rows through the %-template `row`, comma-separated, at most
+    _CHUNK_FLOATS floats per write; `first` says no item precedes them.
 
-    Every row is formatted by one template built from the trailing shape,
-    so no nested list and no per-float call is made.
+    Returns whether the list is still empty. No nested list and no per-float
+    call is made.
     """
-    row = _template(a.shape[1:], entry)
     step = max(1, _CHUNK_FLOATS // max(1, math.prod(a.shape[1:])))
-    write("[")
     for start in range(0, len(a), step):
         chunk = a[start : start + step]
-        if start:
+        if not first:
             write(",")
+        first = False
         write(",".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+    return first
+
+
+def _emit_array(a: np.ndarray, entry: str, write) -> None:
+    """Write a real array as nested lists, `entry` per item of its rows."""
+    write("[")
+    _emit_rows(a, _template(a.shape[1:], entry), write)
     write("]")
 
 
@@ -87,7 +94,8 @@ def _emit(obj, write) -> None:
     """Write obj as deterministic JSON with 17-significant-digit floats.
 
     Dicts, lists and tuples are walked; a float ndarray is written as nested
-    lists of floats and a Pairs as nested [re, im] pairs (see jsonform).
+    lists of floats, a Pairs as nested [re, im] pairs and a Records as its
+    records (see jsonform).
     """
     if isinstance(obj, dict):
         sep = "{"
@@ -108,6 +116,12 @@ def _emit(obj, write) -> None:
             _emit_array(obj.floats(), "%.17g", write)
         else:
             _emit_array(obj.values, "[%.17g,0]", write)  # +0.0 imaginary parts
+    elif isinstance(obj, Records):
+        write("[")
+        first = True
+        for template, values in obj.sections:
+            first = _emit_rows(values, template, write, first)
+        write("]")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         _emit_array(obj, "%.17g", write)
     else:
@@ -268,7 +282,7 @@ def _cmd_circuit(args) -> int:
         gl = two_level_decompose(su.matrix.astype(complex), tol=1e-10)
         print(
             f"two-level synthesis of U_Sch: {gl.rotation_count} rotations, "
-            f"{len(gl.gates) - gl.rotation_count} phases"
+            f"{len(gl.phases)} phases"
         )
         payload["gate_list"] = gl.json_payload()
     if args.json:

@@ -155,7 +155,7 @@ def tensor_power(u: np.ndarray, n: int) -> np.ndarray:
     u = np.asarray(u)
     d = u.shape[0]
     _guard(n, d)
-    if u.shape != (d, d) or unitarity_residual(u) > 1e-10:
+    if u.shape != (d, d) or not unitarity_residual(u) <= 1e-10:  # NaN fails
         raise ValueError("input is not unitary to 1e-10")
     out = np.ones((1, 1), dtype=complex)
     for _ in range(n):

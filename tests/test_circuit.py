@@ -47,17 +47,30 @@ def test_replay_matches_product_of_embeds():
     """In-place replay equals the left-to-right product of dense embeds."""
     rng = np.random.default_rng(4)
     size = 16
-    gates = []
-    for _ in range(60):
-        a, b = (int(v) for v in rng.choice(size, 2, replace=False))
-        if rng.random() < 0.7:
-            gates.append(Gate("rot", a, b, block=haar_unitary(2, rng)))
-        else:
-            gates.append(Gate("phase", a, value=complex(np.exp(2j * np.pi * rng.random()))))
-    gl = GateList(size, tuple(gates))
-    assert {g.kind for g in gates} == {"rot", "phase"}
-    reference = reduce(np.matmul, (g.embed(size) for g in gates))
+    pairs = [rng.choice(size, 2, replace=False) for _ in range(45)]
+    blocks = [haar_unitary(2, rng) for _ in pairs]
+    phase_index = rng.choice(size, 10, replace=False)
+    phases = np.exp(2j * np.pi * rng.random(10))
+    gl = GateList(size, pairs, blocks, phase_index, phases)
+    assert [g.kind for g in gl.gates] == ["rot"] * 45 + ["phase"] * 10
+    assert any(a > b for a, b in gl.pairs.tolist())
+    reference = reduce(np.matmul, (g.embed(size) for g in gl.gates))
     assert np.max(np.abs(gl.replay() - reference)) < 1e-13
+
+
+def test_gate_list_rejects_malformed_arrays():
+    ok = dict(pairs=[(0, 2)], blocks=[np.eye(2)], phase_index=[1], phases=[1j])
+    assert GateList(3, **ok).rotation_count == 1
+    for bad in (
+        dict(blocks=[]),  # a pair without a block
+        dict(phases=[]),  # an index without a phase
+        dict(pairs=[(0, 3)]),  # outside the 3 states
+        dict(phase_index=[-1]),
+        dict(pairs=[(1, 1)]),  # not two-level
+        dict(phase_index=[1, 1], phases=[1j, 1j]),  # replay scales once
+    ):
+        with pytest.raises(ValueError):
+            GateList(3, **{**ok, **bad})
 
 
 def test_replay_reproduces_schur_transform():
@@ -72,6 +85,16 @@ def test_rejects_non_unitary():
         two_level_decompose(np.ones((3, 3)))
     with pytest.raises(ValueError):
         two_level_decompose(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (2, 1), (1, 2)])
+def test_rejects_non_finite_input(bad, entry):
+    # A NaN residual fails every comparison, so the check must not pass it.
+    u = np.eye(3, dtype=complex)
+    u[entry] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        two_level_decompose(u)
 
 
 def test_gate_json_schema():

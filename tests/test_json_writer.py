@@ -9,7 +9,7 @@ import pytest
 from schurkit.circuit import two_level_decompose
 from schurkit.cli import _CHUNK_FLOATS, _emit, _fmt_float, _to_json_text, _write_json
 from schurkit.clebsch_gordan import cg_block
-from schurkit.jsonform import Pairs
+from schurkit.jsonform import Pairs, Records, json_lists
 from schurkit.partitions import Partition
 from schurkit.schur import schur_unitary
 
@@ -110,3 +110,40 @@ def test_containers_and_scalars():
     assert json.loads(text) == {"a": [], "b": {}, "c": [1, -2], "d": [True, False], "e": 'q"\\', "f": 0.5}
     with pytest.raises(TypeError):
         _to_json_text({"x": np.arange(3)})
+
+
+def test_records_stream_sections_in_order():
+    """Sections share one list: commas between them, none before an empty one,
+    and every write holds at most one chunk of records."""
+    rng = np.random.default_rng(5)
+    rows_per_chunk = _CHUNK_FLOATS // 3
+    first = np.column_stack(
+        [np.arange(rows_per_chunk + 1), rng.standard_normal((rows_per_chunk + 1, 2))]
+    )
+    last = rng.standard_normal((2, 1))
+    empty = np.empty((0, 1))
+    records = Records(
+        (
+            ("[%.17g]", empty),
+            ('{"i":%d,"x":[%.17g,%.17g]}', first),
+            ("[%.17g]", empty),
+            ('{"y":%.17g}', last),
+        )
+    )
+    expected = [{"i": int(i), "x": [x, y]} for i, x, y in first.tolist()]
+    expected += [{"y": y} for (y,) in last.tolist()]
+    pieces: list[str] = []
+    _emit({"r": records}, pieces.append)
+    text = "".join(pieces)
+    assert text == '{"r":' + _to_json_text(expected) + "}"
+    assert json_lists(records) == expected == json.loads(text)["r"]
+    assert max(p.count("{") for p in pieces) <= rows_per_chunk
+    assert _to_json_text(Records(())) == _to_json_text(Records((("[%.17g]", empty),))) == "[]"
+
+
+def test_records_list_form_keeps_negative_zero():
+    records = Records((("[%.17g,%d]", np.array([[-0.0, -0.0], [0.0, 1.0]])),))
+    assert _to_json_text(records) == "[[-0,0],[0,1]]"
+    lists = json_lists(records)
+    assert math.copysign(1.0, lists[0][0]) == -1.0
+    assert _to_json_text(lists) == _to_json_text(records)

@@ -76,6 +76,14 @@ def test_tensor_power_examples():
         tensor_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tensor_power_rejects_non_finite_input(bad):
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        tensor_power(u, 2)
+
+
 def test_tensor_power_commutes_with_permutations():
     rng = np.random.default_rng(3)
     for _ in range(5):
