@@ -2,14 +2,18 @@
 
 cg_block(lambda, d) builds the unitary sending (GZ vector of lambda, qudit
 level i) to the direct sum over valid j of GZ vectors of lambda + e_j.
-Columns are built one at a time by the sparse recursion: peel off the top
-pattern row mu', run the U_{d-1} transform on the tail (or relabel i = d as
-the j' = 0 branch), then mix j' -> j with the reduced Wigner matrix.
+It is built level by level, as the Wigner-Eckart recursion reads: for each
+top pattern row mu', the U_{d-1} transform of mu' acts on the pattern tail
+(the i = d branch is the identity, relabeled j' = 0), then the reduced
+Wigner matrix of (lambda, mu') mixes j' -> j. A level is a table of the
+nonzero entries as arrays, made from the tables of the level below by index
+arithmetic, so every entry is the product of one Wigner coefficient per
+level, formed once.
 
 The transform commutes with the torus of U_d, so it only links labels of
 equal weight. A block is stored as its weight sub-blocks, stacked by size
 so that one batched real product serves all sub-blocks of a size; the dense
-matrix is assembled only when asked for.
+matrix and the labels are assembled only when asked for.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from itertools import product
 from typing import Mapping
 
 import numpy as np
 
 from .bases import GzPattern, enumerate_gz, format_ssyt, gz_to_ssyt
 from .jsonform import Pairs, json_lists
-from .partitions import Partition, add_box, dim_Q, format_partition
+from .partitions import Partition, dim_Q, format_partition
 from .wigner import _value as _wigner_value
 
 # Cost of gathering and scattering one row of the operand, in dense
@@ -32,57 +37,113 @@ from .wigner import _value as _wigner_value
 GATHER_COST = 48
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: the caches below share it."""
+    array.setflags(write=False)
+    return array
+
+
 @lru_cache(maxsize=None)
 def _targets(lam_parts: tuple, d: int) -> tuple:
     """((j, parts of lambda + e_j), ...) over the valid j in 1..d."""
-    lam = Partition(lam_parts)
-    out = []
-    for j in range(1, d + 1):
-        target = add_box(lam, j, d)
-        if target is not None:
-            out.append((j, target.parts))
-    return tuple(out)
+    padded = lam_parts + (0,)
+    return tuple(
+        (j, padded[: j - 1] + (padded[j - 1] + 1,) + lam_parts[j:])
+        for j in range(1, min(len(lam_parts) + 1, d) + 1)
+        if j == 1 or padded[j - 2] > padded[j - 1]
+    )
 
 
 @lru_cache(maxsize=None)
-def _cg_column(lam_parts: tuple, d: int, chain: tuple, i: int):
-    """Sparse expansion of U_CG |lambda, q, i>: tuple of (j, chain', coeff).
+def _patterns(lam_parts: tuple, d: int) -> tuple:
+    """(runs, sums) of the GZ patterns of lambda at d, in canonical order.
 
-    `chain` is the pattern's parts-tuple chain (q_d, ..., q_1); the same
-    encoding is returned so recursion levels stay hashable.
+    runs maps each q_{d-1} (parts) to the index of its first pattern: the
+    patterns sharing q_{d-1} form one run, runs in interlacing order.
+    sums[p] = (|q_1|, ..., |q_d|) for pattern p. Its torus weight is
+    wt_k = |q_k| - |q_{k-1}|, so patterns of equal weight have equal sums.
     """
-    targets = _targets(lam_parts, d)
     if d == 1:
-        return ((1, (targets[0][1],), 1.0),)
-    mu_prime = chain[1]
-    tail = chain[1:]
-    if i < d:
-        routed = _cg_column(mu_prime, d - 1, tail, i)
-    else:
-        routed = ((0, tail, 1.0),)
-    out: dict[tuple, float] = {}
-    for j_prime, new_tail, coeff in routed:
-        for j, target in targets:
-            t = _wigner_value(lam_parts, j, mu_prime, j_prime, d)
-            if t == 0.0:
-                continue
-            key = (j, (target,) + new_tail)
-            out[key] = out.get(key, 0.0) + coeff * t
-    return tuple((j, ch, c) for (j, ch), c in out.items())
+        return {}, _frozen(np.array([[sum(lam_parts)]], dtype=np.intp))
+    padded = lam_parts + (0,) * (d - len(lam_parts))
+    runs = {}
+    lower = []
+    count = 0
+    rows = (range(padded[i], padded[i + 1] - 1, -1) for i in range(d - 1))
+    for mu in product(*rows):  # interlacing_set(lambda, d), as parts
+        if not mu[-1]:
+            mu = mu[: mu.index(0)]
+        runs[mu] = count
+        lower.append(_patterns(mu, d - 1)[1])
+        count += len(lower[-1])
+    sums = np.empty((count, d), dtype=np.intp)
+    np.concatenate(lower, out=sums[:, :-1])
+    sums[:, -1] = sum(lam_parts)
+    return runs, _frozen(sums)
 
 
-@cache
-def _pattern_keys(lam: Partition, d: int) -> tuple:
-    """(parts-tuple chain, torus weight) per GZ pattern of lambda, in order.
+def _count(lam_parts: tuple, d: int) -> int:
+    """Number of GZ patterns of lambda at d."""
+    return len(_patterns(lam_parts, d)[1])
 
-    The weight is wt_k = |q_k| - |q_{k-1}| for k = 1..d.
+
+@lru_cache(maxsize=None)
+def _entries(lam_parts: tuple, d: int) -> tuple:
+    """The nonzero entries of the CG block of lambda at d: (ints, vals).
+
+    The rows of ints are (j, s, p, i): an entry sits in the row of
+    pattern s of lambda + e_j and in the column of (pattern p of lambda,
+    qudit level i); vals holds the values.
+
+    For each mu', the entries of mu' at d - 1 and its i = d branch (j' = 0,
+    see _branch) move to the run of mu' among the patterns of lambda; for
+    each valid j, row (j', s') moves to pattern s' of the run of mu' + e_j'
+    among the patterns of lambda + e_j, its value times T(lambda, j, mu', j').
+    Every entry comes from exactly one lower entry. Every block at d = 1 is
+    the same 1 x 1 identity.
     """
-    out = []
-    for q in enumerate_gz(lam, d):
-        key = tuple(p.parts for p in q.chain)
-        sizes = [0] + [sum(parts) for parts in reversed(key)]
-        out.append((key, tuple(b - a for a, b in zip(sizes, sizes[1:]))))
-    return tuple(out)
+    if d == 1:
+        if lam_parts:
+            return _entries((), 1)
+        unit = np.array([[1], [0], [0], [1]], dtype=np.intp)  # (j, s, p, i)
+        return _frozen(unit), _frozen(np.ones(1))
+    targets = _targets(lam_parts, d)
+    runs = _patterns(lam_parts, d)[0]
+    # coeffs[t][m*d + j'] = T(lambda, j_t, mu'_m, j'); offsets[t][m*d + j'] is
+    # where the run of mu'_m + e_j' starts among the patterns of lambda + e_j_t.
+    coeffs = [[0.0] * (len(runs) * d) for _ in targets]
+    offsets = [[0] * (len(runs) * d) for _ in targets]
+    for t, (j, nu) in enumerate(targets):
+        nu_runs = _patterns(nu, d)[0]
+        for m, mu in enumerate(runs):
+            for jp, mupp in ((0, mu),) + _targets(mu, d - 1):
+                c = _wigner_value(lam_parts, j, mu, jp, d)
+                if c != 0.0:
+                    coeffs[t][m * d + jp] = c
+                    offsets[t][m * d + jp] = nu_runs[mupp]
+    lower = [(_entries(mu, d - 1), _branch(_count(mu, d - 1), d)) for mu in runs]
+    ints = np.concatenate([x[0] for pair in lower for x in pair], axis=1)
+    # Each mu' moves to its run: key m*d + j', pattern o + p.
+    shift = np.array([(m * d, 0, o, 0) for m, o in enumerate(runs.values())]).T
+    ints += shift.repeat([a[1].size + b[1].size for a, b in lower], axis=1)
+    key = ints[0]  # m*d + j'
+    coeffs = np.array(coeffs)[:, key]
+    t, e = coeffs.nonzero()
+    out = ints[:, e]
+    out[1] += np.array(offsets)[t, key[e]]
+    out[0] = np.array([j for j, _ in targets])[t]
+    vals = np.concatenate([x[1] for pair in lower for x in pair])
+    return _frozen(out), _frozen(vals[e] * coeffs[t, e])
+
+
+@lru_cache(maxsize=None)
+def _branch(n: int, d: int) -> tuple:
+    """The i = d branch of n patterns as entries one level down: j' = 0,
+    pattern s' = p, value 1."""
+    ints = np.zeros((4, n), dtype=np.intp)
+    ints[1] = ints[2] = np.arange(n)
+    ints[3] = d
+    return _frozen(ints), _frozen(np.ones(n))
 
 
 @dataclass(frozen=True)
@@ -104,26 +165,51 @@ class WeightGroup:
 
 @dataclass(frozen=True)
 class CgBlock:
-    """CG unitary for one lambda, stored by weight, with labeled index maps.
+    """CG unitary for one lambda, stored by weight.
 
     `groups` is the stored form: the weight sub-blocks stacked by size, or a
     single dense group when grouping saves no work (see GATHER_COST).
-    `matrix` assembles the dense array on first access.
+    `matrix` assembles the dense array, and the labels and index maps are
+    enumerated, on first access.
     """
 
     lam: Partition
     d: int
-    in_labels: tuple  # (GzPattern, i) per column
-    out_labels: tuple  # (j, GzPattern of lambda + e_j) per row
-    in_index: Mapping
-    out_index: Mapping
     groups: tuple  # WeightGroup per sub-block size
+
+    @property
+    def size(self) -> int:
+        """Rows (= columns) of the block."""
+        return sum(g.rows.size for g in self.groups)
+
+    @cached_property
+    def in_labels(self) -> tuple:
+        """(GzPattern, i) per column."""
+        return tuple(
+            (q, i) for q in enumerate_gz(self.lam, self.d) for i in range(1, self.d + 1)
+        )
+
+    @cached_property
+    def out_labels(self) -> tuple:
+        """(j, GzPattern of lambda + e_j) per row."""
+        return tuple(
+            (j, q)
+            for j, nu in _targets(self.lam.parts, self.d)
+            for q in enumerate_gz(Partition(nu), self.d)
+        )
+
+    @cached_property
+    def in_index(self) -> Mapping:
+        return {label: c for c, label in enumerate(self.in_labels)}
+
+    @cached_property
+    def out_index(self) -> Mapping:
+        return {label: r for r, label in enumerate(self.out_labels)}
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense real block, read-only."""
-        size = len(self.out_labels)
-        out = np.zeros((size, size))
+        out = np.zeros((self.size, self.size))
         for g in self.groups:
             out[g.rows[:, :, None], g.cols[:, None, :]] = g.blocks
         out.setflags(write=False)
@@ -195,41 +281,80 @@ class CgBlock:
         return json_lists(self.json_payload())
 
 
-def _weight_groups(row_weights: list, col_weights: list, entries: list) -> tuple:
-    """Stack the weight sub-blocks of (row, col, coeff) entries by size."""
-    classes: dict[tuple, tuple[list, list]] = {}
-    for r, w in enumerate(row_weights):
-        classes.setdefault(w, ([], []))[0].append(r)
-    for c, w in enumerate(col_weights):
-        classes.setdefault(w, ([], []))[1].append(c)
-    row_place = [0] * len(row_weights)
-    col_place = [0] * len(col_weights)
-    for w, (rs, cs) in classes.items():
-        if len(rs) != len(cs):
-            raise RuntimeError(f"weight {w} has {len(rs)} rows but {len(cs)} columns")
-        for a, r in enumerate(rs):
-            row_place[r] = a
-        for a, c in enumerate(cs):
-            col_place[c] = a
-    blocks = {w: np.zeros((len(rs), len(rs))) for w, (rs, _) in classes.items()}
-    for r, c, coeff in entries:
-        w = row_weights[r]
-        if col_weights[c] != w:
-            raise RuntimeError(
-                f"entry ({r}, {c}) links weights {w} and {col_weights[c]}"
-            )
-        blocks[w][row_place[r], col_place[c]] = coeff
-    by_size: dict[int, list] = {}
-    for w, (rs, cs) in classes.items():
-        by_size.setdefault(len(rs), []).append((rs, cs, blocks[w]))
-    return tuple(
-        WeightGroup(
-            np.array([rs for rs, _, _ in subs], dtype=np.intp),
-            np.array([cs for _, cs, _ in subs], dtype=np.intp),
-            np.stack([b for _, _, b in subs]),
+def _weight(sums: np.ndarray) -> tuple:
+    return tuple(np.diff(sums, prepend=0).tolist())
+
+
+def _stack_by_weight(row_sums: np.ndarray, col_sums: np.ndarray, rows, cols, vals):
+    """The WeightGroups of the entries (rows, cols, vals) of a square block.
+
+    Labels of equal pattern sums (see _patterns) form a weight class. Groups
+    run over class sizes ascending; within a size, classes in order of first
+    appearance, rows before columns; rows and columns ascend within a class.
+    A block whose sub-blocks save less than GATHER_COST per row is one dense
+    group.
+    """
+    size = len(row_sums)
+    both = np.concatenate((row_sums, col_sums))
+    order = np.lexsort(both.T)  # stable: a class's first label leads it
+    ordered = both[order]
+    new = np.zeros(2 * size, dtype=bool)  # where each class starts in order
+    new[0] = True
+    new[1 + (ordered[1:] != ordered[:-1]).nonzero()[0]] = True
+    ids = np.empty(2 * size, dtype=np.intp)
+    ids[order] = new.cumsum() - 1
+    row_ids, col_ids = ids[:size], ids[size:]
+    appears = order[new]  # the first label of each class
+    n_rows = np.bincount(row_ids, minlength=len(appears)).tolist()
+    n_cols = np.bincount(col_ids, minlength=len(appears)).tolist()
+    if n_rows != n_cols:
+        c = min(
+            (c for c, n in enumerate(n_rows) if n != n_cols[c]),
+            key=lambda c: appears[c],
         )
-        for _, subs in sorted(by_size.items())
-    )
+        raise RuntimeError(
+            f"weight {_weight(ordered[new][c])} has {n_rows[c]} rows but "
+            f"{n_cols[c]} columns"
+        )
+    linked = (row_ids[rows] != col_ids[cols]).nonzero()[0]
+    if linked.size:
+        r, c = rows[linked[0]], cols[linked[0]]
+        raise RuntimeError(
+            f"entry ({r}, {c}) links weights {_weight(row_sums[r])} "
+            f"and {_weight(col_sums[c])}"
+        )
+    if sum(n * n for n in n_rows) + GATHER_COST * size >= size * size:
+        dense = np.zeros((1, size, size))
+        dense.reshape(-1)[rows * size + cols] = vals
+        whole = np.arange(size, dtype=np.intp)[None]
+        return (WeightGroup(whole, whole, dense),)
+    by_size = np.lexsort((appears, n_rows))  # size, then first appearance
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(len(by_size))
+    sizes = np.array(n_rows)[by_size]
+    first = np.cumsum(sizes) - sizes  # first row (and column) of each class
+    starts = np.cumsum(sizes * sizes) - sizes * sizes  # and its first entry
+    row_order = np.argsort(rank[row_ids], kind="stable")
+    col_order = np.argsort(rank[col_ids], kind="stable")
+    place = np.empty(2 * size, dtype=np.intp)  # position within the class
+    shift = np.repeat(first, sizes)
+    place[row_order] = np.arange(size) - shift
+    place[size + col_order] = np.arange(size) - shift
+    cls = rank[row_ids[rows]]
+    flat = np.zeros(starts[-1] + sizes[-1] ** 2)
+    flat[starts[cls] + place[rows] * sizes[cls] + place[size + cols]] = vals
+    groups = []
+    bounds = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+    for a, b in zip(bounds, bounds[1:]):
+        k, s, r, e = b - a, int(sizes[a]), int(first[a]), int(starts[a])
+        groups.append(
+            WeightGroup(
+                row_order[r : r + k * s].reshape(k, s),
+                col_order[r : r + k * s].reshape(k, s),
+                flat[e : e + k * s * s].reshape(k, s, s).copy(),
+            )
+        )
+    return tuple(groups)
 
 
 @cache
@@ -244,46 +369,26 @@ def cg_block(lam: Partition, d: int) -> CgBlock:
         raise ValueError("d must be >= 1")
     if len(lam) > d:
         raise ValueError(f"lambda={lam} needs more than d={d} rows")
-    in_labels = [(q, i) for q in enumerate_gz(lam, d) for i in range(1, d + 1)]
-    out_labels = []
-    row_of = {}
-    row_weights = []
-    for j, target in _targets(lam.parts, d):
-        target = Partition(target)
-        for q, (key, weight) in zip(enumerate_gz(target, d), _pattern_keys(target, d)):
-            row_of[j, key] = len(out_labels)
-            out_labels.append((j, q))
-            row_weights.append(weight)
+    targets = _targets(lam.parts, d)
+    row_sums = np.concatenate([_patterns(nu, d)[1] for _, nu in targets])
+    sums = _patterns(lam.parts, d)[1]
     size = dim_Q(lam, d) * d
-    if not len(out_labels) == len(in_labels) == size:
+    if not len(row_sums) == len(sums) * d == size:
         raise RuntimeError(
-            f"CG block for {lam}, d={d}: {len(out_labels)} x {len(in_labels)}, "
+            f"CG block for {lam}, d={d}: {len(row_sums)} x {len(sums) * d}, "
             f"expected {size} x {size}"
         )
-    col_weights = []
-    entries = []
-    for key, weight in _pattern_keys(lam, d):
-        for i in range(1, d + 1):
-            c = len(col_weights)
-            col_weights.append(weight[: i - 1] + (weight[i - 1] + 1,) + weight[i:])
-            for j, chain_key, coeff in _cg_column(lam.parts, d, key, i):
-                entries.append((row_of[j, chain_key], c, coeff))
-    groups = _weight_groups(row_weights, col_weights, entries)
-    if sum(g.blocks.size for g in groups) + GATHER_COST * size >= size * size:
-        dense = np.zeros((size, size))
-        for r, c, coeff in entries:
-            dense[r, c] = coeff
-        whole = np.arange(size, dtype=np.intp)[None]
-        groups = (WeightGroup(whole, whole, dense[None]),)
-    return CgBlock(
-        lam,
-        d,
-        tuple(in_labels),
-        tuple(out_labels),
-        {label: c for c, label in enumerate(in_labels)},
-        {label: r for r, label in enumerate(out_labels)},
-        groups,
-    )
+    # Column (p, i) has the weight of pattern p plus e_i: |q_k| + 1 for k >= i.
+    steps = np.array([[int(k >= i) for k in range(d)] for i in range(d)])
+    col_sums = (sums[:, None, :] + steps).reshape(size, d)
+    starts = np.zeros(d + 1, dtype=np.intp)  # first row of each valid j
+    row = 0
+    for j, nu in targets:
+        starts[j] = row
+        row += _count(nu, d)
+    (j, s, p, i), vals = _entries(lam.parts, d)
+    groups = _stack_by_weight(row_sums, col_sums, starts[j] + s, p * d + i - 1, vals)
+    return CgBlock(lam, d, groups)
 
 
 def cg_apply(state: Mapping, d: int) -> dict:

@@ -214,7 +214,7 @@ def _cmd_cg(args) -> int:
     block = cg_block(lam, args.d)
     print(
         f"cg_block lambda={format_partition(lam) or '0'} d={args.d}: "
-        f"{len(block.out_labels)} x {len(block.in_labels)}"
+        f"{block.size} x {block.size}"
     )
     if args.json:
         _write_json(args.json, block.json_payload())

@@ -272,29 +272,37 @@ def _block_conjugate(schur: SchurUnitary, lam: Partition, apply_a) -> np.ndarray
 def extract_irrep(schur: SchurUnitary, lam: Partition, u: np.ndarray) -> np.ndarray:
     """Read q_lambda(U) off the conjugated lambda block at a fixed path index.
 
-    Verifies the result is independent of which path index is held fixed
-    (to 1e-9); dependence signals a labeling/convention bug.
+    Verifies the result is finite and independent of which path index is
+    held fixed (to 1e-9); dependence signals a labeling/convention bug.
     """
     dq, dp = dim_Q(lam, schur.d), dim_P(lam)
     w = _block_conjugate(
         schur, lam, lambda x: apply_tensor_power(u, schur.n, x)
     ).reshape(dq, dp, dq, dp)
     out = w[:, 0, :, 0]
+    if not np.isfinite(out).all():
+        raise ConsistencyError(f"q-block of {lam} is not finite")
     for p in range(1, dp):
-        if np.max(np.abs(w[:, p, :, p] - out)) > 1e-9:
+        # NaN compares False, so the test is written to fail on it
+        if not np.max(np.abs(w[:, p, :, p] - out)) <= 1e-9:
             raise ConsistencyError(f"q-block of {lam} depends on the fixed p index")
     return out
 
 
 def extract_perm_irrep(schur: SchurUnitary, lam: Partition, s: Permutation) -> np.ndarray:
-    """Read p_lambda(s) off the conjugated lambda block at a fixed GZ index."""
+    """Read p_lambda(s) off the conjugated lambda block at a fixed GZ index.
+
+    Verifies the result is finite and independent of the GZ index held fixed.
+    """
     dq, dp = dim_Q(lam, schur.d), dim_P(lam)
     w = _block_conjugate(
         schur, lam, lambda x: apply_perm(s, schur.d, x)
     ).reshape(dq, dp, dq, dp)
     out = w[0, :, 0, :]
+    if not np.isfinite(out).all():
+        raise ConsistencyError(f"p-block of {lam} is not finite")
     for q in range(1, dq):
-        if np.max(np.abs(w[q, :, q, :] - out)) > 1e-9:
+        if not np.max(np.abs(w[q, :, q, :] - out)) <= 1e-9:
             raise ConsistencyError(f"p-block of {lam} depends on the fixed q index")
     return out
 

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partitions import Partition, add_box, interlaces, remove_box
+from .partitions import Partition, remove_box
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,27 @@ def _sign(j: int, j_prime: int) -> int:
 
 @lru_cache(maxsize=None)
 def _value(mu_parts: tuple, j: int, mup_parts: tuple, j_prime: int, d: int) -> float:
-    mu = Partition(mu_parts)
-    mup = Partition(mup_parts)
-    lam = add_box(mu, j, d)
-    if lam is None or not interlaces(mup, mu):
+    """The coefficient from parts tuples; no Partition is built."""
+    if j < 1 or j_prime < 0:
+        raise ValueError("row index j is 1-based")
+    mu = mu_parts + (0,) * (d + 1 - len(mu_parts))  # mu_1..mu_{d+1}
+    mup = mup_parts + (0,) * (d - len(mup_parts))  # mu'_1..mu'_d
+    # lam = mu + e_j and mu'' = mu' + e_j' must be partitions in d and d-1 rows.
+    if not 1 <= j <= d or (j > 1 and mu[j - 2] == mu[j - 1]):
         return 0.0
-    mupp = mup if j_prime == 0 else add_box(mup, j_prime, d - 1)
-    if mupp is None or not interlaces(mupp, lam):
+    if j_prime > d - 1 or (j_prime > 1 and mup[j_prime - 2] == mup[j_prime - 1]):
         return 0.0
+    lam = list(mu)
+    lam[j - 1] += 1
+    mupp = list(mup)
+    if j_prime:
+        mupp[j_prime - 1] += 1
+    for i in range(d):
+        if not (mu[i] >= mup[i] >= mu[i + 1] and lam[i] >= mupp[i] >= lam[i + 1]):
+            return 0.0
 
-    mt = [mu.part(i) + d - i for i in range(1, d + 1)]
-    mpt = [mup.part(i) + d - 1 - i for i in range(1, d)]
+    mt = [mu[i - 1] + d - i for i in range(1, d + 1)]
+    mpt = [mup[i - 1] + d - 1 - i for i in range(1, d)]
 
     num = 1
     den = 1
@@ -113,9 +123,14 @@ def _value(mu_parts: tuple, j: int, mup_parts: tuple, j_prime: int, d: int) -> f
                 den *= mpt[j_prime - 1] - mpt[t - 1] + 1
     if den == 0 or num * den < 0:
         raise ArithmeticError(
-            f"radicand {num}/{den} for (mu={mu}, j={j}, mu'={mup}, j'={j_prime}, d={d})"
+            f"radicand {num}/{den} for (mu={_text(mu_parts)}, j={j}, "
+            f"mu'={_text(mup_parts)}, j'={j_prime}, d={d})"
         )
     return _sign(j, j_prime) * math.sqrt(num / den)
+
+
+def _text(parts: tuple) -> str:
+    return ",".join(str(p) for p in parts)
 
 
 def reduced_wigner(q: ReducedWignerQuery) -> float:

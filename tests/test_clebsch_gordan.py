@@ -233,14 +233,38 @@ def test_cross_weight_entry_raises(monkeypatch):
     """An entry linking labels of different torus weight breaks the build."""
     from schurkit import clebsch_gordan
 
-    def cross_weight(lam_parts, d, chain, i):
-        # column (q = (1)/(1), i = 1) has weight (2, 0); row (2)/() has (0, 2)
-        return ((1, ((2,), ()), 1.0),)
+    def cross_weight(lam_parts, d):
+        # (j, s, p, i) = (1, 2, 0, 1): column (q = (1)/(1), i = 1) has weight
+        # (2, 0); row (j = 1, pattern (2)/()) has (0, 2)
+        return np.array([[1], [2], [0], [1]]), np.ones(1)
 
     cg_block.cache_clear()
-    monkeypatch.setattr(clebsch_gordan, "_cg_column", cross_weight)
+    monkeypatch.setattr(clebsch_gordan, "_entries", cross_weight)
     try:
         with pytest.raises(RuntimeError, match="links weights"):
+            cg_block(P(1), 2)
+    finally:
+        cg_block.cache_clear()
+
+
+def test_unequal_weight_class_raises(monkeypatch):
+    """A weight class with more rows than columns breaks the build."""
+    from schurkit import clebsch_gordan
+
+    patterns = clebsch_gordan._patterns
+
+    def relabeled(lam_parts, d):
+        runs, sums = patterns(lam_parts, d)
+        if (lam_parts, d) == ((2,), 2):
+            # pattern (2)/() of weight (0, 2) gets the sums of weight (1, 1)
+            sums = sums.copy()
+            sums[2, 0] = 1
+        return runs, sums
+
+    cg_block.cache_clear()
+    monkeypatch.setattr(clebsch_gordan, "_patterns", relabeled)
+    try:
+        with pytest.raises(RuntimeError, match=r"\(1, 1\) has 3 rows but 2 columns"):
             cg_block(P(1), 2)
     finally:
         cg_block.cache_clear()

@@ -179,6 +179,20 @@ def test_dense_json_is_pinned(tmp_path, capsys):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (command, n, d)
 
 
+def test_cg_json_is_pinned(tmp_path, capsys):
+    """SHA-256 of the JSON files written by `cg`: the benchmark's dense block
+    and a 1440-wide block stored as weight sub-blocks."""
+    pins = {
+        ("2,2,1", 3): "57984694b6c180f8c33716554d0cfc90866a96ffa4a38426b0cce0a9bb1d431d",
+        ("5,3,1", 4): "b79e3b07b3d511066e0a173fa9ee0ed5d2114937095c03a5d62ef570499c5bd3",
+    }
+    for (lam, d), digest in pins.items():
+        path = tmp_path / f"cg_{d}.json"
+        assert run(["cg", "--lambda", lam, "--d", str(d), "--json", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (lam, d)
+
+
 def test_float_formatting_17_digits(tmp_path, capsys):
     path = tmp_path / "w.json"
     run(["wigner", "--mu", "1", "--mu-dprime", "1", "--d", "2", "--json", str(path)])

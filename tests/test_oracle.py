@@ -211,6 +211,28 @@ def test_extract_irrep_detects_mislabeled_rows():
         extract_irrep(broken, P(2, 1), haar_unitary(2, rng))
 
 
+@pytest.mark.parametrize("lam", [P(2, 1), P(3)])
+def test_extract_irrep_rejects_nan(lam):
+    # (3) has one path index, so no consistency comparison runs at all
+    su = schur_unitary(3, 2)
+    u = haar_unitary(2, np.random.default_rng(2))
+    u[0, 1] = np.nan
+    with pytest.raises(ConsistencyError):
+        extract_irrep(su, lam, u)
+
+
+@pytest.mark.parametrize("n, d, lam", [(3, 2, P(2, 1)), (3, 3, P(1, 1, 1))])
+def test_extract_perm_irrep_rejects_nan(n, d, lam):
+    # (1,1,1) at d = 3 has one GZ index, so no comparison runs at all
+    su = schur_unitary(n, d)
+    m = su.matrix.copy()
+    row = next(r for r, label in enumerate(su.row_labels) if label[0] == lam)
+    m[row, 0] = np.nan
+    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.row_index, su.blocks)
+    with pytest.raises(ConsistencyError):
+        extract_perm_irrep(broken, lam, transposition(n, 1, 2))
+
+
 def test_schur_polynomial_basics():
     x = np.array([0.3 + 0.1j, -0.7, 1.1 - 0.2j])
     assert abs(schur_polynomial(P(1), x) - x.sum()) < 1e-14
