@@ -93,6 +93,13 @@ class YyPath:
     def __setattr__(self, name, value):
         raise AttributeError("YyPath is immutable")
 
+    @classmethod
+    def _trusted(cls, chain: tuple) -> YyPath:
+        """A path from a chain already known to remove one box per step."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chain", chain)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.chain)
@@ -175,12 +182,14 @@ def enumerate_paths(lam: Partition) -> tuple[YyPath, ...]:
     if lam.size < 1:
         raise ValueError("lambda must have at least one box")
     if lam == Partition([1]):
-        return (YyPath((lam,)),)
-    out = []
-    for mu in remove_box_set(lam):
-        for tail in enumerate_paths(mu):
-            out.append(YyPath((lam,) + tail.chain))
-    return tuple(out)
+        return (YyPath._trusted((lam,)),)
+    # remove_box_set yields exactly lambda minus one box, so every chain
+    # below is valid by construction.
+    return tuple(
+        YyPath._trusted((lam,) + tail.chain)
+        for mu in remove_box_set(lam)
+        for tail in enumerate_paths(mu)
+    )
 
 
 def gz_to_ssyt(p: GzPattern) -> list[list[int]]:

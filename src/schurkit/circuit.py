@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jsonform import Records, json_lists
+from .jsonform import Records, lists
 from .partitions import (
     Partition,
     add_box,
@@ -136,7 +136,7 @@ class GateList:
         }
 
     def to_json(self) -> dict:
-        return json_lists(self.json_payload())
+        return lists(self.json_payload())
 
 
 def two_level_decompose(u: np.ndarray, tol: float = 1e-10) -> GateList:

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .bases import GzPattern, enumerate_gz, format_ssyt, gz_to_ssyt
-from .jsonform import Pairs, json_lists
+from .jsonform import lists, pairs
 from .partitions import Partition, dim_Q, format_partition
 from .wigner import _value as _wigner_value
 
@@ -274,11 +274,11 @@ class CgBlock:
                 {"gz": format_ssyt(gz_to_ssyt(q)) if q.top.size else "", "i": i}
                 for q, i in self.in_labels
             ],
-            "matrix": Pairs(self.matrix),
+            "matrix": pairs(self.matrix),
         }
 
     def to_json(self) -> dict:
-        return json_lists(self.json_payload())
+        return lists(self.json_payload())
 
 
 def _weight(sums: np.ndarray) -> tuple:

@@ -1,17 +1,18 @@
 """schurkit command line: machine-readable access to every operation.
 
-Exit codes: 0 success, 2 argument error, 3 resource bound exceeded,
-4 verification failure. All floats are serialized with 17 significant
-digits so identical flags (and seed) give byte-identical JSON.
+This module holds the commands and their parser only. `--json FILE` hands a
+payload to `jsonform`, which owns the wire format: floats with 17 significant
+digits, so identical flags (and seed) give byte-identical JSON.
+
+Exit codes: 0 success, 2 argument error (including a --json FILE that cannot
+be written), 3 resource bound exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
-
-import numpy as np
 
 from . import __version__
 from .bases import (
@@ -24,7 +25,7 @@ from .bases import (
 )
 from .circuit import gate_count_report, two_level_decompose
 from .clebsch_gordan import cg_block
-from .jsonform import Pairs, Records
+from .jsonform import array, dump, fmt_float
 from .oracle import verify_report
 from .partitions import (
     dim_P,
@@ -37,110 +38,6 @@ from .schur import ResourceLimitError, schur_unitary
 from .wigner import reduced_wigner_matrix
 
 
-# Floats formatted per write when an array is streamed; bounds the text and
-# the Python floats alive at once.
-_CHUNK_FLOATS = 1 << 16
-
-
-def _fmt_float(x: float) -> str:
-    """17 significant digits; the same text as format(float(x), ".17g")."""
-    return "%.17g" % x
-
-
-def _scalar_text(obj) -> str:
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def _template(shape: tuple, entry: str) -> str:
-    """Format string of an array of the given shape, `entry` per item."""
-    for size in reversed(shape):
-        entry = "[" + ",".join([entry] * size) + "]"
-    return entry
-
-
-def _emit_rows(a: np.ndarray, row: str, write, first: bool = True) -> bool:
-    """Write a's rows through the %-template `row`, comma-separated, at most
-    _CHUNK_FLOATS floats per write; `first` says no item precedes them.
-
-    Returns whether the list is still empty. No nested list and no per-float
-    call is made.
-    """
-    step = max(1, _CHUNK_FLOATS // max(1, math.prod(a.shape[1:])))
-    for start in range(0, len(a), step):
-        chunk = a[start : start + step]
-        if not first:
-            write(",")
-        first = False
-        write(",".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
-    return first
-
-
-def _emit_array(a: np.ndarray, entry: str, write) -> None:
-    """Write a real array as nested lists, `entry` per item of its rows."""
-    write("[")
-    _emit_rows(a, _template(a.shape[1:], entry), write)
-    write("]")
-
-
-def _emit(obj, write) -> None:
-    """Write obj as deterministic JSON with 17-significant-digit floats.
-
-    Dicts, lists and tuples are walked; a float ndarray is written as nested
-    lists of floats, a Pairs as nested [re, im] pairs and a Records as its
-    records (see jsonform).
-    """
-    if isinstance(obj, dict):
-        sep = "{"
-        for k, v in obj.items():
-            write(f'{sep}"{k}":')
-            _emit(v, write)
-            sep = ","
-        write("}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)):
-        sep = "["
-        for v in obj:
-            write(sep)
-            _emit(v, write)
-            sep = ","
-        write("]" if obj else "[]")
-    elif isinstance(obj, Pairs):
-        if np.iscomplexobj(obj.values):
-            _emit_array(obj.floats(), "%.17g", write)
-        else:
-            _emit_array(obj.values, "[%.17g,0]", write)  # +0.0 imaginary parts
-    elif isinstance(obj, Records):
-        write("[")
-        first = True
-        for template, values in obj.sections:
-            first = _emit_rows(values, template, write, first)
-        write("]")
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        _emit_array(obj, "%.17g", write)
-    else:
-        write(_scalar_text(obj))
-
-
-def _to_json_text(obj) -> str:
-    parts: list[str] = []
-    _emit(obj, parts.append)
-    return "".join(parts)
-
-
-def _write_json(path: str, obj) -> None:
-    """Stream obj as JSON to path; arrays are never turned into lists."""
-    with open(path, "w") as fh:
-        _emit(obj, fh.write)
-        fh.write("\n")
-
-
 def _cmd_dims(args) -> int:
     rows = [
         {"lambda": format_partition(lam), "dim_Q": dim_Q(lam, args.d), "dim_P": dim_P(lam)}
@@ -150,7 +47,7 @@ def _cmd_dims(args) -> int:
     for row in rows:
         print(f"{row['lambda']:<16}{row['dim_Q']:>8}{row['dim_P']:>8}")
     if args.json:
-        _write_json(args.json, {"d": args.d, "n": args.n, "rows": rows})
+        dump({"d": args.d, "n": args.n, "rows": rows}, args.json)
     return 0
 
 
@@ -159,7 +56,7 @@ def _cmd_partitions(args) -> int:
     for lam in parts:
         print(format_partition(lam))
     if args.json:
-        _write_json(args.json, [format_partition(lam) for lam in parts])
+        dump([format_partition(lam) for lam in parts], args.json)
     return 0
 
 
@@ -173,7 +70,7 @@ def _cmd_gz(args) -> int:
     for q in patterns:
         print(format_ssyt(gz_to_ssyt(q)))
     if args.json:
-        _write_json(args.json, [format_ssyt(gz_to_ssyt(q)) for q in patterns])
+        dump([format_ssyt(gz_to_ssyt(q)) for q in patterns], args.json)
     return 0
 
 
@@ -183,10 +80,7 @@ def _cmd_paths(args) -> int:
     for p in paths:
         print(f"{rank_path(p)}\t{format_path(p)}")
     if args.json:
-        _write_json(
-            args.json,
-            [{"rank": rank_path(p), "path": format_path(p)} for p in paths],
-        )
+        dump([{"rank": rank_path(p), "path": format_path(p)} for p in paths], args.json)
     return 0
 
 
@@ -195,16 +89,16 @@ def _cmd_wigner(args) -> int:
     mupp = parse_partition(args.mu_dprime)
     mat = reduced_wigner_matrix(mu, mupp, args.d)
     for row in mat:
-        print(" ".join(_fmt_float(v) for v in row))
+        print(" ".join(fmt_float(v) for v in row))
     if args.json:
-        _write_json(
-            args.json,
+        dump(
             {
                 "mu": format_partition(mu),
                 "mu_dprime": format_partition(mupp),
                 "d": args.d,
-                "matrix": mat,
+                "matrix": array(mat),
             },
+            args.json,
         )
     return 0
 
@@ -217,11 +111,13 @@ def _cmd_cg(args) -> int:
         f"{block.size} x {block.size}"
     )
     if args.json:
-        _write_json(args.json, block.json_payload())
+        dump(block.json_payload(), args.json)
     return 0
 
 
 def _cmd_schur(args) -> int:
+    if args.show_rows < 0:
+        raise ValueError(f"--show-rows must be >= 0, got {args.show_rows}")
     su = schur_unitary(args.n, args.d, max_dim=args.max_dim)
     print(f"schur n={args.n} d={args.d}: {su.matrix.shape[0]} x {su.matrix.shape[1]}")
     for (lam, q, p), _ in zip(su.row_labels, range(args.show_rows)):
@@ -230,7 +126,7 @@ def _cmd_schur(args) -> int:
             f" path={format_path(p) or '-'}"
         )
     if args.json:
-        _write_json(args.json, su.json_payload())
+        dump(su.json_payload(), args.json)
     return 0
 
 
@@ -243,10 +139,10 @@ def _cmd_verify(args) -> int:
         "max_q_constancy",
         "max_char_residual",
     ):
-        print(f"{key:<22}{_fmt_float(report[key])}")
+        print(f"{key:<22}{fmt_float(report[key])}")
     print(f"{'ok':<22}{report['ok']}")
     if args.json:
-        _write_json(args.json, report)
+        dump(report, args.json)
     return 0 if report["ok"] else 4
 
 
@@ -262,21 +158,7 @@ def _cmd_circuit(args) -> int:
         f"totals: control_pairs={report.total_control_pairs} "
         f"rotation_classes={report.total_rotation_classes}"
     )
-    payload = {
-        "n": args.n,
-        "d": args.d,
-        "steps": [
-            {
-                "step": st.step,
-                "wigner_dim": st.wigner_dim,
-                "control_pairs": st.control_pairs,
-                "rotation_classes": st.rotation_classes,
-            }
-            for st in report.steps
-        ],
-        "total_control_pairs": report.total_control_pairs,
-        "total_rotation_classes": report.total_rotation_classes,
-    }
+    payload = dataclasses.asdict(report)  # field order is the JSON key order
     if args.decompose:
         su = schur_unitary(args.n, args.d, max_dim=args.max_dim)
         gl = two_level_decompose(su.matrix.astype(complex), tol=1e-10)
@@ -286,7 +168,7 @@ def _cmd_circuit(args) -> int:
         )
         payload["gate_list"] = gl.json_payload()
     if args.json:
-        _write_json(args.json, payload)
+        dump(payload, args.json)
     return 0
 
 
@@ -376,7 +258,7 @@ def run(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the --json FILE cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from .bases import (
     unrank_path,
 )
 from .clebsch_gordan import cg_block
-from .jsonform import Pairs, json_lists
+from .jsonform import lists, pairs
 from .partitions import (
     Partition,
     add_box,
@@ -84,11 +84,11 @@ class SchurUnitary:
                 }
                 for lam, q, p in self.row_labels
             ],
-            "matrix": Pairs(self.matrix),
+            "matrix": pairs(self.matrix),
         }
 
     def to_json(self) -> dict:
-        return json_lists(self.json_payload())
+        return lists(self.json_payload())
 
 
 def _check_size(n: int, d: int, max_dim: int) -> int:

@@ -121,6 +121,16 @@ def test_enumerate_paths_counts():
             assert len(enumerate_paths(lam)) == dim_P(lam)
 
 
+def test_enumerated_paths_pass_public_validation():
+    """enumerate_paths skips the one-box checks; YyPath(chain) agrees."""
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n, n):
+            paths = enumerate_paths(lam)
+            assert len(paths) == dim_P(lam)
+            for path in paths:
+                assert YyPath(path.chain) == path
+
+
 def test_paths_match_standard_tableaux_counts():
     for n in range(1, 7):
         for lam in enumerate_partitions(n, n):

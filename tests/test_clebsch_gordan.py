@@ -215,7 +215,7 @@ def test_weight_grouped_product_matches_dense():
 
 def test_block_json_is_pinned():
     """SHA-256 of `schurkit cg --json` for fixed blocks, dense and grouped."""
-    from schurkit.cli import _to_json_text
+    from schurkit.jsonform import dumps
 
     pins = {
         (P(2, 1), 3): "6574d9cf15d10c8e19fbd40d6dd250e26e009be7483e532e5486593bfc8b4d32",
@@ -225,7 +225,7 @@ def test_block_json_is_pinned():
         (P(3, 2), 4): "22b953123ff2a73dad424ba826570cb511b02c448e38bc2411d1556fda6a3017",
     }
     for (lam, d), digest in pins.items():
-        text = _to_json_text(cg_block(lam, d).to_json()) + "\n"
+        text = dumps(cg_block(lam, d).to_json()) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (lam, d)
 
 

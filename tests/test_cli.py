@@ -83,6 +83,23 @@ def test_d_zero_is_an_argument_error(argv, capsys):
     assert "d must be >= 1" in captured.err
 
 
+def test_unwritable_json_path_is_an_argument_error(tmp_path, capsys):
+    # ended in a FileNotFoundError traceback with exit 1
+    target = tmp_path / "missing" / "x.json"
+    assert run(["dims", "--d", "2", "--n", "3", "--json", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x.json" in err
+    assert not target.exists()
+
+
+def test_negative_show_rows_is_an_argument_error(capsys):
+    # exited 0 and printed nothing for the rows
+    assert run(["schur", "--n", "2", "--d", "2", "--show-rows", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--show-rows" in captured.err
+
+
 def test_resource_bound_exit_code(capsys):
     assert run(["schur", "--n", "12", "--d", "2", "--max-dim", "2048"]) == 3
     err = capsys.readouterr().err
