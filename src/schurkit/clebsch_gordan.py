@@ -216,11 +216,19 @@ class CgBlock:
         return out
 
     @cached_property
-    def _orders(self) -> tuple:
-        """Row and column orders of the stacked groups, and their inverses."""
+    def dense(self):
+        """The block as one real array when it is stored as one dense group,
+        else None."""
+        g = self.groups[0]
+        return g.blocks[0] if len(self.groups) == 1 and len(g.blocks) == 1 else None
+
+    @cached_property
+    def stacking(self) -> tuple:
+        """(rows, cols, row_at): the row and the column of each position of
+        the stacked groups, and the position of each row."""
         rows = np.concatenate([g.rows.reshape(-1) for g in self.groups])
         cols = np.concatenate([g.cols.reshape(-1) for g in self.groups])
-        return rows, cols, np.argsort(rows), np.argsort(cols)
+        return rows, cols, np.argsort(rows)
 
     def dot(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """matrix @ x, or matrix.T @ x, for x of shape (N, ...), real or complex.
@@ -236,44 +244,68 @@ class CgBlock:
         x = np.ascontiguousarray(x)
         flat = x.reshape(x.shape[0], -1)
         real = flat.view(np.float64)
-        out = self._real_dot(real, transpose)
+        out = self.real_dot(real, transpose)
         if np.iscomplexobj(x):
             out = out.view(np.complex128)
         return out.reshape(x.shape)
 
-    def _real_dot(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        if len(self.groups) == 1 and self.groups[0].blocks.shape[0] == 1:
-            m = self.groups[0].blocks[0]  # one dense group: rows, cols in order
-            return (m.T if transpose else m) @ x
-        rows, cols, row_inv, col_inv = self._orders
-        src, back = (rows, col_inv) if transpose else (cols, row_inv)
-        gathered = x[src]
-        out = np.empty_like(gathered)
+    def real_dot(self, x: np.ndarray, transpose: bool = False, work=None) -> np.ndarray:
+        """matrix @ x (or matrix.T @ x) along the first axis of a real x.
+
+        A weight-grouped block gathers the rows of each group into work[0],
+        applies them with stacked_dot into work[1], and scatters the result
+        back into work[0], whose view it returns; `work` is two flat float64
+        buffers of at least x.size entries, new ones if None.
+        """
+        if self.dense is not None:
+            m = self.dense.T if transpose else self.dense
+            return (m @ x.reshape(len(m), -1)).reshape(x.shape)
+        rows, cols, _ = self.stacking
+        src, dst = (rows, cols) if transpose else (cols, rows)
+        gathered, stacked = (
+            (np.empty(x.size) if work is None else work[i][: x.size]).reshape(x.shape)
+            for i in range(2)
+        )
+        np.take(x, src, axis=0, out=gathered, mode="clip")
+        self.stacked_dot(gathered, stacked, transpose)
+        gathered[dst] = stacked  # the operand is spent
+        return gathered
+
+    def stacked_dot(self, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
+        """The groups' products, one batched product per sub-block size.
+
+        x and out are contiguous real arrays of shape (N, ...) in the
+        stacked order: row i of x is operand row cols[i] and row i of out
+        is product row rows[i] (the other way round when transposed), with
+        rows and cols from stacking.
+        """
+        x, out = x.reshape(len(x), -1), out.reshape(len(out), -1)
         start = 0
         for g in self.groups:
             k, s, _ = g.blocks.shape
             stop = start + k * s
             blocks = g.blocks.transpose(0, 2, 1) if transpose else g.blocks
             np.matmul(
-                blocks,
-                gathered[start:stop].reshape(k, s, -1),
-                out=out[start:stop].reshape(k, s, -1),
+                blocks, x[start:stop].reshape(k, s, -1), out=out[start:stop].reshape(k, s, -1)
             )
             start = stop
-        return out[back]
 
     def json_payload(self) -> dict:
-        """Schema: lambda, d, rows, cols, matrix as [re, im] pairs (array form)."""
+        """Schema: lambda, d, rows, cols, matrix as [re, im] pairs (array form).
+
+        Each column pattern is formatted once, not once per qudit level.
+        """
+        gzs = {
+            q: format_ssyt(gz_to_ssyt(q)) if q.top.size else ""
+            for q in enumerate_gz(self.lam, self.d)
+        }
         return {
             "lambda": format_partition(self.lam),
             "d": self.d,
             "rows": [
                 {"j": j, "gz": format_ssyt(gz_to_ssyt(q))} for j, q in self.out_labels
             ],
-            "cols": [
-                {"gz": format_ssyt(gz_to_ssyt(q)) if q.top.size else "", "i": i}
-                for q, i in self.in_labels
-            ],
+            "cols": [{"gz": gzs[q], "i": i} for q, i in self.in_labels],
             "matrix": pairs(self.matrix),
         }
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from schurkit import schur
 from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
 from schurkit.oracle import extract_perm_irrep, standard_fillings, transposition
 from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
@@ -178,6 +179,66 @@ def test_singlet_times_zero_lives_in_mixed_block():
     assert abs(np.linalg.norm(out) - 1.0) < 1e-14
 
 
+LAYOUT_SIZES = (
+    [(n, 2) for n in range(1, 13)]
+    + [(n, 3) for n in range(1, 8)]
+    + [(n, 4) for n in range(1, 7)]
+    + [(n, 6) for n in range(1, 5)]
+)
+
+
+def test_cascade_matches_matrix_in_every_layout():
+    """Forward and inverse, with one and with three columns, against the
+    dense matrix: the step where the cascade leaves the paths-major layout
+    depends on n, d and the number of columns."""
+    rng = np.random.default_rng(24)
+    switches = set()
+    for n, d in LAYOUT_SIZES:
+        dim = d**n
+        m = schur_unitary(n, d).matrix
+        for cols in (1, 3):
+            rests = [d ** (n - k - 1) * cols for k in range(1, n)]
+            layouts = [schur._step(k, d).layout(r) for k, r in enumerate(rests, 1)]
+            switches.add(tuple(layouts))
+            x = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+            assert np.max(np.abs(schur_matmul(x, n, d) - m @ x)) < 1e-13, (n, d, cols)
+            back = schur._cascade_apply(x, n, d, "inverse")
+            assert np.max(np.abs(back - m.T @ x)) < 1e-13, (n, d, cols)
+    # both layouts, and switches at many steps, were exercised
+    assert {"pqr", "qrp"} <= {layout for seq in switches for layout in seq}
+    assert len({seq.count("pqr") for seq in switches}) >= 8
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+@pytest.mark.parametrize("route", ["forward", "inverse", "unitary"])
+def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
+    """The sector tensors start uninitialised, so a route missing from (or
+    repeated in) a step's table must raise, not leave garbage in a sector."""
+    n, d = 6, 3
+    v = np.random.default_rng(25).standard_normal(d**n)
+    run = {
+        "forward": lambda: schur_apply(v, n, d),
+        "inverse": lambda: schur_apply(v, n, d, "inverse"),
+        "unitary": lambda: schur_unitary(n, d),
+    }[route]
+    run()
+    real = schur._step
+
+    def corrupted(k, dd):
+        step = real(k, dd)
+        if k != 3:
+            return step
+        sources = list(step.sources)
+        lam, dq, dp, routes = sources[1]
+        routes = routes[:-1] if change == "drop" else routes + routes[-1:]
+        sources[1] = (lam, dq, dp, routes)
+        return step._replace(sources=tuple(sources))
+
+    monkeypatch.setattr(schur, "_step", corrupted)
+    with pytest.raises(RuntimeError, match="paths"):
+        run()
+
+
 def test_schur_matmul_matches_matrix():
     rng = np.random.default_rng(22)
     su = schur_unitary(3, 3)
@@ -205,15 +266,13 @@ def test_boundary_size_build_and_apply():
     assert np.max(np.abs(schur_apply(f, 6, 4, "inverse") - v)) < 1e-12
 
 
-def test_matrix_free_apply_above_dense_bound():
-    """At (8,4), D = 65536: round trip, and U = diag(x) scaling each Schur
-    row (lambda, q, p) by the monomial x^wt(q), with wt read off the
-    tableau of q."""
-    n, d = 8, 4
+def _check_matrix_free(n, d, seed):
+    """Round trip, and U = diag(x) scaling each Schur row (lambda, q, p) by
+    the monomial x^wt(q), with wt read off the tableau of q."""
     dim = d**n
     with pytest.raises(ResourceLimitError):
         schur_apply(np.zeros(dim), n, d)
-    rng = np.random.default_rng(40)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     f = schur_apply(v, n, d, max_dim=dim)
@@ -222,14 +281,26 @@ def test_matrix_free_apply_above_dense_bound():
 
     x = np.exp(1j * rng.uniform(0, 2 * np.pi, d))
     phases = functools.reduce(np.kron, [x] * n)  # diag of U^(x)n
-    weights = []
+    weights, repeats = [], []
     for lam in enumerate_partitions(d, n):
         for q in enumerate_gz(lam, d):
             entries = [e - 1 for row in gz_to_ssyt(q) for e in row]
-            weights.extend([np.bincount(entries, minlength=d)] * dim_P(lam))
-    monomials = np.prod(x ** np.array(weights), axis=1)
+            weights.append(np.bincount(entries, minlength=d))
+            repeats.append(dim_P(lam))
+    monomials = np.prod(x ** np.repeat(weights, repeats, axis=0), axis=1)
     moved = schur_apply(phases * v, n, d, max_dim=dim)
     assert np.max(np.abs(moved - monomials * f)) < 1e-10
+
+
+def test_matrix_free_apply_above_dense_bound():
+    """At (8,4), D = 65536."""
+    _check_matrix_free(8, 4, 40)
+
+
+def test_matrix_free_apply_at_2_to_the_20():
+    """At (20,2), D = 2^20: the benchmark's largest size, whose cascade
+    switches from the paths-major layout to the other one midway."""
+    _check_matrix_free(20, 2, 41)
 
 
 @pytest.mark.parametrize("n, d", [(6, 3), (7, 2), (5, 4), (4, 3)])
