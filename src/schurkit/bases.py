@@ -156,6 +156,34 @@ def parse_path(text: str) -> YyPath:
     return path_from_record(js)
 
 
+def _chains(top: Partition, depth: int, below) -> list[tuple]:
+    """The chains (top, ...) of `depth` partitions, each one in
+    below(previous, level of previous) with top at level depth: depth first,
+    in the order `below` gives. A stack, not recursion, so deep chains stay
+    within the recursion limit; `below` runs once per (partition, level).
+    """
+    if depth == 1:
+        return [(top,)]
+    memo = {}
+    out = []
+    chain = [top]
+    stack = [iter(below(top, depth))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            chain.pop()
+        elif len(chain) == depth - 1:
+            out.append((*chain, node))
+        else:
+            chain.append(node)
+            key = node, depth - len(chain) + 1
+            if key not in memo:
+                memo[key] = below(*key)
+            stack.append(iter(memo[key]))
+    return out
+
+
 @cache
 def enumerate_gz(lam: Partition, d: int) -> tuple[GzPattern, ...]:
     """All GZ patterns of Q_lambda^d in canonical order.
@@ -163,17 +191,13 @@ def enumerate_gz(lam: Partition, d: int) -> tuple[GzPattern, ...]:
     Ordered by q_{d-1} in canonical partition order, then recursively, so
     patterns sharing a U_{d-1} label form contiguous runs.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if len(lam) > d:
         return ()
-    if d == 1:
-        return (GzPattern._trusted((lam,)),)
     # interlacing_set yields exactly the mu that interlace lam with at most
-    # d - 1 parts, so every chain below is valid by construction.
-    return tuple(
-        GzPattern._trusted((lam,) + tail.chain)
-        for mu in interlacing_set(lam, d)
-        for tail in enumerate_gz(mu, d - 1)
-    )
+    # d - 1 parts, so every chain is valid by construction.
+    return tuple(GzPattern._trusted(chain) for chain in _chains(lam, d, interlacing_set))
 
 
 @cache
@@ -181,15 +205,10 @@ def enumerate_paths(lam: Partition) -> tuple[YyPath, ...]:
     """All removal chains from lambda down to (1), in rank order."""
     if lam.size < 1:
         raise ValueError("lambda must have at least one box")
-    if lam == Partition([1]):
-        return (YyPath._trusted((lam,)),)
-    # remove_box_set yields exactly lambda minus one box, so every chain
-    # below is valid by construction.
-    return tuple(
-        YyPath._trusted((lam,) + tail.chain)
-        for mu in remove_box_set(lam)
-        for tail in enumerate_paths(mu)
-    )
+    # remove_box_set yields exactly lambda minus one box, so every chain is
+    # valid by construction, and each of lam.size partitions ends at (1).
+    chains = _chains(lam, lam.size, lambda mu, _: remove_box_set(mu))
+    return tuple(YyPath._trusted(chain) for chain in chains)
 
 
 def gz_to_ssyt(p: GzPattern) -> list[list[int]]:

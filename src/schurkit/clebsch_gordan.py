@@ -11,9 +11,12 @@ arithmetic, so every entry is the product of one Wigner coefficient per
 level, formed once.
 
 The transform commutes with the torus of U_d, so it only links labels of
-equal weight. A block is stored as its weight sub-blocks, stacked by size
-so that one batched real product serves all sub-blocks of a size; the dense
-matrix and the labels are assembled only when asked for.
+equal weight. A block is stored in one form, its weight sub-blocks stacked
+by size: the row and the column of each stacked position, and one (k, s, s)
+array per sub-block size, so that one batched real product serves all
+sub-blocks of a size. Both directions of the Schur cascade gather their
+operands straight into that order; the dense matrix and the labels are
+assembled only when asked for.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import product
 from typing import Mapping
 
 import numpy as np
 
 from .bases import GzPattern, enumerate_gz, format_ssyt, gz_to_ssyt
 from .jsonform import lists, pairs
-from .partitions import Partition, dim_Q, format_partition
+from .partitions import Partition, dim_Q, format_partition, interlacing_set
 from .wigner import _value as _wigner_value
 
 # Cost of gathering and scattering one row of the operand, in dense
@@ -65,16 +67,12 @@ def _patterns(lam_parts: tuple, d: int) -> tuple:
     """
     if d == 1:
         return {}, _frozen(np.array([[sum(lam_parts)]], dtype=np.intp))
-    padded = lam_parts + (0,) * (d - len(lam_parts))
     runs = {}
     lower = []
     count = 0
-    rows = (range(padded[i], padded[i + 1] - 1, -1) for i in range(d - 1))
-    for mu in product(*rows):  # interlacing_set(lambda, d), as parts
-        if not mu[-1]:
-            mu = mu[: mu.index(0)]
-        runs[mu] = count
-        lower.append(_patterns(mu, d - 1)[1])
+    for mu in interlacing_set(Partition(lam_parts), d):
+        runs[mu.parts] = count
+        lower.append(_patterns(mu.parts, d - 1)[1])
         count += len(lower[-1])
     sums = np.empty((count, d), dtype=np.intp)
     np.concatenate(lower, out=sums[:, :-1])
@@ -147,40 +145,37 @@ def _branch(n: int, d: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class WeightGroup:
-    """The k weight sub-blocks of one size s of a CG block.
-
-    Sub-block b maps columns cols[b] to rows rows[b] through blocks[b]:
-    matrix[rows[b][a], cols[b][c]] == blocks[b, a, c].
-    """
-
-    rows: np.ndarray  # (k, s) row indices
-    cols: np.ndarray  # (k, s) column indices
-    blocks: np.ndarray  # (k, s, s) real entries
-
-    def __post_init__(self):
-        for array in (self.rows, self.cols, self.blocks):
-            array.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class CgBlock:
     """CG unitary for one lambda, stored by weight.
 
-    `groups` is the stored form: the weight sub-blocks stacked by size, or a
-    single dense group when grouping saves no work (see GATHER_COST).
-    `matrix` assembles the dense array, and the labels and index maps are
-    enumerated, on first access.
+    The stored form is the weight sub-blocks stacked by size: position a of
+    the stacked order holds row rows[a] and column cols[a], and `blocks`
+    holds one (k, s, s) array per sub-block size s, ascending, whose k
+    sub-blocks cover the next k * s positions in turn. A block whose
+    sub-blocks save no work (see GATHER_COST) is one dense sub-block, rows
+    and columns in natural order. `matrix` assembles the dense array, and
+    the labels and index maps are enumerated, on first access.
     """
 
     lam: Partition
     d: int
-    groups: tuple  # WeightGroup per sub-block size
+    rows: np.ndarray  # (size,) row of each stacked position
+    cols: np.ndarray  # (size,) column of each stacked position
+    blocks: tuple  # (k, s, s) real sub-blocks per size s, ascending
+
+    def __post_init__(self):
+        for array in (self.rows, self.cols, *self.blocks):
+            array.setflags(write=False)
 
     @property
     def size(self) -> int:
         """Rows (= columns) of the block."""
-        return sum(g.rows.size for g in self.groups)
+        return len(self.rows)
+
+    @cached_property
+    def row_at(self) -> np.ndarray:
+        """The stacked position of each row."""
+        return _frozen(np.argsort(self.rows))
 
     @cached_property
     def in_labels(self) -> tuple:
@@ -206,89 +201,64 @@ class CgBlock:
     def out_index(self) -> Mapping:
         return {label: r for r, label in enumerate(self.out_labels)}
 
+    def _spans(self):
+        """(positions, sub-blocks) per size: the slice of the stacked order
+        that each (k, s, s) array covers."""
+        start = 0
+        for blocks in self.blocks:
+            stop = start + blocks.shape[0] * blocks.shape[1]
+            yield slice(start, stop), blocks
+            start = stop
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense real block, read-only."""
         out = np.zeros((self.size, self.size))
-        for g in self.groups:
-            out[g.rows[:, :, None], g.cols[:, None, :]] = g.blocks
-        out.setflags(write=False)
-        return out
+        for at, blocks in self._spans():
+            k, s, _ = blocks.shape
+            out[self.rows[at].reshape(k, s, 1), self.cols[at].reshape(k, 1, s)] = blocks
+        return _frozen(out)
 
     @cached_property
     def dense(self):
-        """The block as one real array when it is stored as one dense group,
-        else None."""
-        g = self.groups[0]
-        return g.blocks[0] if len(self.groups) == 1 and len(g.blocks) == 1 else None
-
-    @cached_property
-    def stacking(self) -> tuple:
-        """(rows, cols, row_at): the row and the column of each position of
-        the stacked groups, and the position of each row."""
-        rows = np.concatenate([g.rows.reshape(-1) for g in self.groups])
-        cols = np.concatenate([g.cols.reshape(-1) for g in self.groups])
-        return rows, cols, np.argsort(rows)
+        """The block as one real array when it is stored as one dense
+        sub-block, else None."""
+        blocks = self.blocks[0]
+        return blocks[0] if len(self.blocks) == 1 and len(blocks) == 1 else None
 
     def dot(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """matrix @ x, or matrix.T @ x, for x of shape (N, ...), real or complex.
+        """matrix @ x, or matrix.T @ x, for x of shape (size, ...), real or
+        complex.
 
-        Each group is applied to the real view of x, so a complex operand
-        costs real products only and the block is never upcast.
+        The rows of x are gathered into the stacked order, multiplied by
+        stacked_dot and scattered back. A complex operand is multiplied
+        through its real view, so it costs real products only and the block
+        is never upcast.
         """
         x = np.asarray(x)
-        if not np.iscomplexobj(x):
-            x = x.astype(np.float64, copy=False)
-        elif x.dtype != np.complex128:
-            x = x.astype(np.complex128)
-        x = np.ascontiguousarray(x)
-        flat = x.reshape(x.shape[0], -1)
-        real = flat.view(np.float64)
-        out = self.real_dot(real, transpose)
-        if np.iscomplexobj(x):
-            out = out.view(np.complex128)
-        return out.reshape(x.shape)
-
-    def real_dot(self, x: np.ndarray, transpose: bool = False, work=None) -> np.ndarray:
-        """matrix @ x (or matrix.T @ x) along the first axis of a real x.
-
-        A weight-grouped block gathers the rows of each group into work[0],
-        applies them with stacked_dot into work[1], and scatters the result
-        back into work[0], whose view it returns; `work` is two flat float64
-        buffers of at least x.size entries, new ones if None.
-        """
-        if self.dense is not None:
-            m = self.dense.T if transpose else self.dense
-            return (m @ x.reshape(len(m), -1)).reshape(x.shape)
-        rows, cols, _ = self.stacking
-        src, dst = (rows, cols) if transpose else (cols, rows)
-        gathered, stacked = (
-            (np.empty(x.size) if work is None else work[i][: x.size]).reshape(x.shape)
-            for i in range(2)
-        )
-        np.take(x, src, axis=0, out=gathered, mode="clip")
-        self.stacked_dot(gathered, stacked, transpose)
-        gathered[dst] = stacked  # the operand is spent
-        return gathered
+        if x.ndim == 0 or len(x) != self.size:
+            raise ValueError(f"operand of shape {x.shape} for a {self.size}-row block")
+        x = np.ascontiguousarray(x, np.complex128 if np.iscomplexobj(x) else np.float64)
+        real = x.reshape(len(x), -1).view(np.float64)
+        src, dst = (self.rows, self.cols) if transpose else (self.cols, self.rows)
+        product = np.empty_like(real)
+        self.stacked_dot(real[src], product, transpose)
+        out = np.empty_like(real)
+        out[dst] = product
+        return out.view(x.dtype).reshape(x.shape)
 
     def stacked_dot(self, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
-        """The groups' products, one batched product per sub-block size.
+        """The sub-blocks' products, one batched product per size.
 
-        x and out are contiguous real arrays of shape (N, ...) in the
-        stacked order: row i of x is operand row cols[i] and row i of out
-        is product row rows[i] (the other way round when transposed), with
-        rows and cols from stacking.
+        x and out are contiguous real arrays of shape (size, ...) in the
+        stacked order: row a of x is operand row cols[a] and row a of out is
+        product row rows[a] (the other way round when transposed).
         """
         x, out = x.reshape(len(x), -1), out.reshape(len(out), -1)
-        start = 0
-        for g in self.groups:
-            k, s, _ = g.blocks.shape
-            stop = start + k * s
-            blocks = g.blocks.transpose(0, 2, 1) if transpose else g.blocks
-            np.matmul(
-                blocks, x[start:stop].reshape(k, s, -1), out=out[start:stop].reshape(k, s, -1)
-            )
-            start = stop
+        for at, blocks in self._spans():
+            k, s, _ = blocks.shape
+            blocks = blocks.transpose(0, 2, 1) if transpose else blocks
+            np.matmul(blocks, x[at].reshape(k, s, -1), out=out[at].reshape(k, s, -1))
 
     def json_payload(self) -> dict:
         """Schema: lambda, d, rows, cols, matrix as [re, im] pairs (array form).
@@ -318,13 +288,14 @@ def _weight(sums: np.ndarray) -> tuple:
 
 
 def _stack_by_weight(row_sums: np.ndarray, col_sums: np.ndarray, rows, cols, vals):
-    """The WeightGroups of the entries (rows, cols, vals) of a square block.
+    """(rows, cols, blocks) of a square block with entries (rows, cols, vals):
+    the stored form of CgBlock.
 
-    Labels of equal pattern sums (see _patterns) form a weight class. Groups
-    run over class sizes ascending; within a size, classes in order of first
-    appearance, rows before columns; rows and columns ascend within a class.
-    A block whose sub-blocks save less than GATHER_COST per row is one dense
-    group.
+    Labels of equal pattern sums (see _patterns) form a weight class. The
+    stacked order runs over class sizes ascending; within a size, classes in
+    order of first appearance, rows before columns; rows and columns ascend
+    within a class. A block whose sub-blocks save less than GATHER_COST per
+    row is one dense sub-block in natural order.
     """
     size = len(row_sums)
     both = np.concatenate((row_sums, col_sums))
@@ -358,8 +329,8 @@ def _stack_by_weight(row_sums: np.ndarray, col_sums: np.ndarray, rows, cols, val
     if sum(n * n for n in n_rows) + GATHER_COST * size >= size * size:
         dense = np.zeros((1, size, size))
         dense.reshape(-1)[rows * size + cols] = vals
-        whole = np.arange(size, dtype=np.intp)[None]
-        return (WeightGroup(whole, whole, dense),)
+        whole = np.arange(size, dtype=np.intp)
+        return whole, whole, (dense,)
     by_size = np.lexsort((appears, n_rows))  # size, then first appearance
     rank = np.empty_like(by_size)
     rank[by_size] = np.arange(len(by_size))
@@ -375,18 +346,12 @@ def _stack_by_weight(row_sums: np.ndarray, col_sums: np.ndarray, rows, cols, val
     cls = rank[row_ids[rows]]
     flat = np.zeros(starts[-1] + sizes[-1] ** 2)
     flat[starts[cls] + place[rows] * sizes[cls] + place[size + cols]] = vals
-    groups = []
     bounds = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+    blocks = []
     for a, b in zip(bounds, bounds[1:]):
-        k, s, r, e = b - a, int(sizes[a]), int(first[a]), int(starts[a])
-        groups.append(
-            WeightGroup(
-                row_order[r : r + k * s].reshape(k, s),
-                col_order[r : r + k * s].reshape(k, s),
-                flat[e : e + k * s * s].reshape(k, s, s).copy(),
-            )
-        )
-    return tuple(groups)
+        k, s, e = b - a, int(sizes[a]), int(starts[a])
+        blocks.append(flat[e : e + k * s * s].reshape(k, s, s))
+    return row_order, col_order, tuple(blocks)
 
 
 @cache
@@ -419,8 +384,8 @@ def cg_block(lam: Partition, d: int) -> CgBlock:
         starts[j] = row
         row += _count(nu, d)
     (j, s, p, i), vals = _entries(lam.parts, d)
-    groups = _stack_by_weight(row_sums, col_sums, starts[j] + s, p * d + i - 1, vals)
-    return CgBlock(lam, d, groups)
+    stacked = _stack_by_weight(row_sums, col_sums, starts[j] + s, p * d + i - 1, vals)
+    return CgBlock(lam, d, *stacked)
 
 
 def cg_apply(state: Mapping, d: int) -> dict:

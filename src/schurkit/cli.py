@@ -5,7 +5,8 @@ payload to `jsonform`, which owns the wire format: floats with 17 significant
 digits, so identical flags (and seed) give byte-identical JSON.
 
 Exit codes: 0 success, 2 argument error (including a --json FILE that cannot
-be written), 3 resource bound exceeded, 4 verification failure.
+be written), 3 resource bound exceeded, 4 verification failure (a tolerance
+breach, or an oracle consistency check that fails).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bases import (
 from .circuit import gate_count_report, two_level_decompose
 from .clebsch_gordan import cg_block
 from .jsonform import array, dump, fmt_float
-from .oracle import verify_report
+from .oracle import ConsistencyError, verify_report
 from .partitions import (
     dim_P,
     dim_Q,
@@ -131,7 +132,11 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_report(args.n, args.d, args.trials, args.seed)
+    try:
+        report = verify_report(args.n, args.d, args.trials, args.seed)
+    except ConsistencyError as exc:  # an oracle check found the transform wrong
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     for key in (
         "unitarity",
         "max_off_mass",

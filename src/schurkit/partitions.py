@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import product
 from typing import Iterator
 
 
@@ -139,21 +140,12 @@ def interlaces(mu: Partition, lam: Partition, d: int | None = None) -> bool:
 
 def interlacing_set(lam: Partition, d: int) -> list[Partition]:
     """All mu with <= d-1 parts interlacing lam, in canonical order."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if len(lam) > d:
         raise ValueError(f"lambda={lam} needs more than d={d} rows")
-    if d == 1:
-        return [Partition()]
-    out: list[Partition] = []
-
-    def build(prefix: list[int], i: int):
-        if i == d:  # slots 1..d-1 filled
-            out.append(Partition(prefix))
-            return
-        for v in range(lam.part(i), lam.part(i + 1) - 1, -1):
-            build(prefix + [v], i + 1)
-
-    build([], 1)
-    return out
+    rows = (range(lam.part(i), lam.part(i + 1) - 1, -1) for i in range(1, d))
+    return [Partition(mu[: mu.index(0)] if 0 in mu else mu) for mu in product(*rows)]
 
 
 def add_box(lam: Partition, j: int, d: int | None = None) -> Partition | None:

@@ -28,14 +28,15 @@ once, straight into a slab of a preallocated target:
 
 A step uses "pqr" while the sources' path axes are narrower on average than
 the rest of the register, sum(dim_P) < sectors * d^(n-k-1) * m, and "qrp"
-from there on; the state changes layout by one transpose. Weight-grouped
-blocks (see CgBlock) gather, multiply and scatter the rows into the slabs
-instead. The inverse walks the same tables backwards: one gather per
-lambda copies its slab of each target into a contiguous operand, and one
-product with the transposed block writes lambda's sector. The dense build
-keeps (Q, P, R), the "qpr" layout, with one 2-D product per block: BLAS
-rounds differently when a product's shape changes, and the dense matrix
-must stay the same in every bit.
+from there on; the state changes layout by one transpose. A weight-grouped
+block (see CgBlock) instead gathers its operand into the block's stacked
+order, multiplies it once, and each route takes its rows of the product
+into its slab. The inverse walks the same tables backwards: one gather per
+lambda copies its slab of each target into a contiguous operand (in the
+stacked order for a grouped block), and one product with the transposed
+block writes lambda's sector. The dense build keeps (Q, P, R), the "qpr"
+layout, so that its last step writes the matrix in row order; a dense
+block's route product is batched over P there.
 """
 
 from __future__ import annotations
@@ -272,11 +273,11 @@ def _forward_step(
     A sector's operand is (Q*d, P, rest) in the same layout: by default the
     next qudit of the register, a free reshape; `operand(tensor, d)` in the
     dense build. Each route's rows land in the paths its target holds for
-    this predecessor. In "pqr" and "qrp" every route of a dense block is its
-    own product, written straight into that slab; in "qpr" (the dense build)
-    and for weight-grouped blocks the block's product is formed whole and
-    its rows are copied into the slabs, gathered and multiplied in
-    work[1] and work[2] when given. The targets are cut from `out` if
+    this predecessor. Every route of a dense block is its own product,
+    written straight into that slab. A weight-grouped block's operand is
+    gathered into the block's stacked order in work[0] and multiplied whole
+    into work[1] (new buffers if work is None), and each route takes its
+    rows of the product into its slab. The targets are cut from `out` if
     given.
     """
     step = _step(k, d)
@@ -290,16 +291,22 @@ def _forward_step(
             x = tensor.reshape(_stored((dq * d, dp, rest), layout))
         else:
             x = operand(tensor, d)
-        dense = block.dense if layout != "qpr" else None
+        dense = block.dense
         if dense is None:
-            buffers = None if work is None else [_real(w) for w in work[1:]]
-            y = block.real_dot(_q_at(x, layout, 0), work=buffers)
+            x = _q_at(x, layout, 0)
+            if work is None:
+                y, product = np.empty(x.shape), np.empty(x.shape)
+            else:
+                y, product = (_real(w)[: x.size].reshape(x.shape) for w in work)
+            np.take(x, block.cols, axis=0, out=y, mode="clip")
+            block.stacked_dot(y, product)
         else:
             x = _q_at(x, layout, 1)
         for t, rows in routes:
             slab = targets[t][p_lead + (_paths(cursors, t, dp, step.targets[t][1], k),)]
             if dense is None:
-                _q_at(slab, layout, 0)[...] = y[rows]
+                at = block.row_at[rows]
+                np.take(product, at, axis=0, out=_q_at(slab, layout, 0), mode="clip")
             else:
                 np.matmul(dense[rows], x, out=_q_at(slab, layout, 1))
     _check_cursors(k, cursors, step.targets)
@@ -315,8 +322,8 @@ def _inverse_step(
     contiguous (Q*d, P, rest) operand, and one product with the transposed
     block writes lambda's sector, the freed qudit leading the register. A
     dense block's operand is cut from work[0] in the step's layout; a
-    weight-grouped block's is cut from work[1] with Q first, its rows in
-    the groups' stacked order, and its product from work[2] is scattered
+    weight-grouped block's is cut from work[0] with Q first, its rows in
+    the block's stacked order, and its product from work[1] is scattered
     into the sector. The sectors are cut from `out`.
     """
     step = _step(k, d)
@@ -330,15 +337,13 @@ def _inverse_step(
         block = cg_block(lam, d)
         x = sector.reshape(_stored((dq * d, dp, rest), layout))
         if block.dense is None:
-            # gather straight into the stacked order of the weight groups
-            _, cols, row_at = block.stacking
             shape = _q_at(x, layout, 0).shape
-            y, product = (_real(w)[: _real(x).size].reshape(shape) for w in work[1:])
+            y, product = (_real(w)[: _real(x).size].reshape(shape) for w in work)
             for t, rows in routes:
                 paths = _paths(cursors, t, dp, step.targets[t][1], k)
-                y[row_at[rows]] = _q_at(state[t][p_lead + (paths,)], layout, 0)
+                y[block.row_at[rows]] = _q_at(state[t][p_lead + (paths,)], layout, 0)
             block.stacked_dot(y, product, transpose=True)
-            _q_at(x, layout, 0)[cols] = product
+            _q_at(x, layout, 0)[block.cols] = product
         else:
             y = work[0][: x.size].reshape(x.shape)
             for t, rows in routes:
@@ -389,7 +394,7 @@ def _cascade_apply(x: np.ndarray, n: int, d: int, direction: str) -> np.ndarray:
     # Every pass reads the state from one buffer and writes the other; work
     # holds gathered operands and whole-block products (see the steps).
     buffers = [np.empty(dim * m, x.dtype) for _ in range(2)]
-    work = [np.empty(dim * m, x.dtype) for _ in range(3)]
+    work = [np.empty(dim * m, x.dtype) for _ in range(2)]
 
     def spare() -> np.ndarray:
         buffers.reverse()

@@ -59,6 +59,8 @@ def test_enumerate_gz_counts_and_order():
     assert [pat.level(1) for pat in pats] == [P(2), P(1), P()]
     assert len(enumerate_gz(P(2, 1), 3)) == 8
     assert enumerate_gz(P(1, 1, 1), 2) == ()
+    with pytest.raises(ValueError, match="d must be"):
+        enumerate_gz(P(), 0)  # no level to stop at
     for d, n in [(3, 5), (4, 6)]:
         for lam in enumerate_partitions(d, n):
             assert len(enumerate_gz(lam, d)) == dim_Q(lam, d)

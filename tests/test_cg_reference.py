@@ -152,12 +152,15 @@ def test_blocks_match_per_column_recursion_bitwise(d):
         block = cg_block(lam, d)
         dense, groups = reference_block(lam, d)
         assert np.array_equal(_bits(block.matrix), _bits(dense)), (lam, d)
-        assert len(block.groups) == len(groups), (lam, d)
-        for g, (rows, cols, blocks) in zip(block.groups, groups):
-            assert g.rows.dtype == g.cols.dtype == np.intp
-            assert g.rows.shape == rows.shape and g.blocks.shape == blocks.shape
-            assert np.array_equal(_bits(g.rows), _bits(rows)), (lam, d)
-            assert np.array_equal(_bits(g.cols), _bits(cols)), (lam, d)
-            assert np.array_equal(_bits(g.blocks), _bits(blocks)), (lam, d)
+        assert block.rows.dtype == block.cols.dtype == np.intp
+        rows = np.concatenate([r.reshape(-1) for r, _, _ in groups])
+        cols = np.concatenate([c.reshape(-1) for _, c, _ in groups])
+        assert block.rows.shape == block.cols.shape == rows.shape, (lam, d)
+        assert np.array_equal(_bits(block.rows), _bits(rows)), (lam, d)
+        assert np.array_equal(_bits(block.cols), _bits(cols)), (lam, d)
+        assert len(block.blocks) == len(groups), (lam, d)
+        for stored, (_, _, blocks) in zip(block.blocks, groups):
+            assert stored.shape == blocks.shape, (lam, d)
+            assert np.array_equal(_bits(stored), _bits(blocks)), (lam, d)
         grouped += len(groups) > 1
     assert d == 2 or grouped  # both stored forms are compared

@@ -195,7 +195,7 @@ def test_weight_grouped_product_matches_dense():
     for lam, d in cases:
         block = cg_block(lam, d)
         m = block.matrix
-        grouped += len(block.groups) > 1
+        grouped += len(block.blocks) > 1
         shape = (m.shape[0], 2, 3)
         for x in (
             rng.standard_normal(shape),
@@ -209,8 +209,19 @@ def test_weight_grouped_product_matches_dense():
     assert grouped >= 2
     # (5,3,1) at d=4: 1440 x 1440, stored as weight sub-blocks none wider than 32
     big = cg_block(P(5, 3, 1), 4)
-    assert max(g.blocks.shape[1] for g in big.groups) <= 32
-    assert sum(g.blocks.size for g in big.groups) < 0.02 * big.matrix.size
+    assert max(b.shape[1] for b in big.blocks) <= 32
+    assert sum(b.size for b in big.blocks) < 0.02 * big.matrix.size
+
+
+@pytest.mark.parametrize("lam, d", [(P(1), 2), (P(5), 3)])
+def test_dot_rejects_wrong_length_operand(lam, d):
+    block = cg_block(lam, d)
+    assert (block.dense is None) == (d == 3)  # one dense block, one grouped
+    for x in (np.arange(2.0 * block.size), np.ones((block.size - 1, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=f"{block.size}-row block"):
+            block.dot(x)
+        with pytest.raises(ValueError, match=f"{block.size}-row block"):
+            block.dot(x, transpose=True)
 
 
 def test_block_json_is_pinned():
@@ -271,6 +282,6 @@ def test_unequal_weight_class_raises(monkeypatch):
 
 
 def test_block_rejects_d_below_one():
-    # interlacing_set(Partition(), 0) never reaches its base case
+    # an empty lambda fits in any number of rows, so only the d check catches it
     with pytest.raises(ValueError, match="d must be"):
         cg_block(P(), 0)

@@ -223,6 +223,29 @@ def test_verify_zero_trials_is_an_argument_error(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_verify_exits_4_when_the_oracle_finds_an_inconsistency(monkeypatch, capsys):
+    import schurkit.schur
+    from schurkit.schur import SchurUnitary
+
+    su = schurkit.schur.schur_unitary(3, 2)
+    m = su.matrix.copy()
+    m[[4, 7]] = m[[7, 4]]  # a (q,p) row swapped against a different q
+    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.row_index, su.blocks)
+    monkeypatch.setattr(schurkit.schur, "schur_unitary", lambda n, d, **kw: broken)
+    assert run(["verify", "--n", "3", "--d", "2", "--trials", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "depends on the fixed" in captured.err
+
+
+def test_gz_and_paths_deeper_than_the_recursion_limit(capsys):
+    assert run(["gz", "--lambda", "1", "--d", "1000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1000 and out[0] == "1" and out[-1] == "1000"
+    assert run(["paths", "--lambda", "1000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["1\t" + ",".join(["1"] * 999)]
+
+
 @pytest.mark.parametrize("module", ["schurkit", "schurkit.cli"])
 def test_python_dash_m_runs_the_cli(module):
     src = Path(__file__).resolve().parents[1] / "src"

@@ -102,6 +102,9 @@ def test_interlacing_set_matches_definition():
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         for mu in mus:
             assert interlaces(mu, lam, d=d)
+    assert interlacing_set(Partition([2]), 1) == [Partition()]
+    with pytest.raises(ValueError, match="d must be"):
+        interlacing_set(Partition(), 0)
 
 
 def test_add_box_cases():
