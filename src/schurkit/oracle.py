@@ -1,10 +1,14 @@
-"""Brute-force ground truth: permutation/tensor-power representations, Young
-symmetrizers, irrep extraction from the Schur transform, and Schur-polynomial
+"""Ground truth for the Schur transform: permutation/tensor-power
+representations, Young symmetrizers, irrep extraction, and Schur-polynomial
 characters.
 
-Everything here is dense double-precision linear algebra, independent of the
-coefficient formulas used to build the transform, so it can referee them.
-Sizes are guarded by d^n <= 4096.
+Conjugation forms W = C A S^T. A = U^{tensor n} P(s) is applied axis by
+axis to the transposed dense matrix S, and the left product C by U_Sch runs
+through the cascade (schur_matmul), the way the transform is applied
+everywhere else. W is block-diagonal with q (x) p blocks only if C and S are
+the same labeled Schur transform, so one run referees both: a wrong
+coefficient, or a matrix that disagrees with the cascade, shows up as a
+residual. Dense representation matrices are guarded by d^n <= 4096.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import enumerate_gz, enumerate_paths, gz_to_ssyt
-from .partitions import Partition, dim_P, dim_Q
-from .schur import SchurUnitary
+from .partitions import Partition, dim_P
+from .schur import SchurUnitary, schur_matmul
 
 ORACLE_MAX_DIM = 4096
 
@@ -265,46 +269,44 @@ def young_symmetrizer(t: StandardTableauFilling, d: int) -> np.ndarray:
 
 
 def _block_conjugate(schur: SchurUnitary, lam: Partition, apply_a) -> np.ndarray:
-    s_rows = schur.block_rows(lam)
-    return s_rows @ apply_a(s_rows.T.copy())
+    """The lambda block of C A S^T, shaped (dim_Q, dim_P, dim_Q, dim_P)."""
+    for blam, start, dq, dp in schur.blocks:
+        if blam == lam:
+            rows = slice(start, start + dq * dp)
+            c = apply_a(schur.matrix[rows].T.copy())
+            w = schur_matmul(c, schur.n, schur.d, max_dim=len(schur.matrix))
+            return w[rows].reshape(dq, dp, dq, dp)
+    raise KeyError(f"no block for {lam}")
+
+
+def _read_factor(w: np.ndarray, lam: Partition, factor: str, other: str) -> np.ndarray:
+    """w[:, 0, :, 0] of a block shaped (factor, other, factor, other).
+
+    Verifies the result is finite and independent of which `other` index is
+    held fixed (to 1e-9); dependence signals a labeling/convention bug.
+    """
+    out = w[:, 0, :, 0]
+    if not np.isfinite(out).all():
+        raise ConsistencyError(f"{factor}-block of {lam} is not finite")
+    for b in range(1, w.shape[1]):
+        # NaN compares False, so the test is written to fail on it
+        if not np.max(np.abs(w[:, b, :, b] - out)) <= 1e-9:
+            raise ConsistencyError(
+                f"{factor}-block of {lam} depends on the fixed {other} index"
+            )
+    return out
 
 
 def extract_irrep(schur: SchurUnitary, lam: Partition, u: np.ndarray) -> np.ndarray:
-    """Read q_lambda(U) off the conjugated lambda block at a fixed path index.
-
-    Verifies the result is finite and independent of which path index is
-    held fixed (to 1e-9); dependence signals a labeling/convention bug.
-    """
-    dq, dp = dim_Q(lam, schur.d), dim_P(lam)
-    w = _block_conjugate(
-        schur, lam, lambda x: apply_tensor_power(u, schur.n, x)
-    ).reshape(dq, dp, dq, dp)
-    out = w[:, 0, :, 0]
-    if not np.isfinite(out).all():
-        raise ConsistencyError(f"q-block of {lam} is not finite")
-    for p in range(1, dp):
-        # NaN compares False, so the test is written to fail on it
-        if not np.max(np.abs(w[:, p, :, p] - out)) <= 1e-9:
-            raise ConsistencyError(f"q-block of {lam} depends on the fixed p index")
-    return out
+    """q_lambda(U), read off the conjugated lambda block at a fixed path index."""
+    w = _block_conjugate(schur, lam, lambda x: apply_tensor_power(u, schur.n, x))
+    return _read_factor(w, lam, "q", "p")
 
 
 def extract_perm_irrep(schur: SchurUnitary, lam: Partition, s: Permutation) -> np.ndarray:
-    """Read p_lambda(s) off the conjugated lambda block at a fixed GZ index.
-
-    Verifies the result is finite and independent of the GZ index held fixed.
-    """
-    dq, dp = dim_Q(lam, schur.d), dim_P(lam)
-    w = _block_conjugate(
-        schur, lam, lambda x: apply_perm(s, schur.d, x)
-    ).reshape(dq, dp, dq, dp)
-    out = w[0, :, 0, :]
-    if not np.isfinite(out).all():
-        raise ConsistencyError(f"p-block of {lam} is not finite")
-    for q in range(1, dq):
-        if not np.max(np.abs(w[q, :, q, :] - out)) <= 1e-9:
-            raise ConsistencyError(f"p-block of {lam} depends on the fixed q index")
-    return out
+    """p_lambda(s), read off the conjugated lambda block at a fixed GZ index."""
+    w = _block_conjugate(schur, lam, lambda x: apply_perm(s, schur.d, x))
+    return _read_factor(w.transpose(1, 0, 3, 2), lam, "p", "q")
 
 
 def schur_polynomial(lam: Partition, x) -> complex:
@@ -344,22 +346,16 @@ def conjugate_by_schur(
 ) -> np.ndarray:
     """W = U_Sch (U^{tensor n} P(s)) U_Sch^dag, with either factor optional.
 
-    The right factor is applied axis-by-axis; the left multiplication by the
-    (real) Schur matrix runs as real BLAS products on the split parts.
+    The right factor is applied axis by axis to a contiguous copy of the
+    transposed Schur matrix; the left product by U_Sch runs through the
+    cascade, bounded by the matrix's own size.
     """
-    m = schur.matrix
-    c = m.T.copy()
+    c = schur.matrix.T.copy()
     if s is not None:
         c = apply_perm(s, schur.d, c)
     if u is not None:
         c = apply_tensor_power(u, schur.n, c)
-    if np.iscomplexobj(c):
-        # Contiguous copies before the products: BLAS refuses strided
-        # real/imag views and numpy would fall back to a slow loop.
-        re = m @ np.ascontiguousarray(c.real)
-        im = m @ np.ascontiguousarray(c.imag)
-        return re + 1j * im
-    return m @ c
+    return schur_matmul(c, schur.n, schur.d, max_dim=len(schur.matrix))
 
 
 def perm_block_residual(pblk: np.ndarray) -> float:

@@ -24,8 +24,10 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        parts = parts[:end]
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not nonincreasing: {parts}")

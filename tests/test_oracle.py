@@ -10,10 +10,14 @@ from schurkit.oracle import (
     StandardTableauFilling,
     apply_perm,
     apply_tensor_power,
+    conjugate_by_schur,
     extract_irrep,
     extract_perm_irrep,
     haar_unitary,
     identity_permutation,
+    kron_factor_residual,
+    offdiag_block_mass,
+    perm_block_residual,
     perm_matrix,
     random_permutation,
     schur_polynomial,
@@ -255,6 +259,59 @@ def test_haar_unitary_seeded_and_unitary():
     u2 = haar_unitary(4, rng2)
     assert np.array_equal(u1, u2)
     assert np.max(np.abs(u1.conj().T @ u1 - np.eye(4))) < 1e-12
+
+
+@pytest.fixture
+def flipped_wigner_sign(monkeypatch):
+    """The reduced Wigner coefficient T((1), 2, (1), 0) at d = 2, negated."""
+    from schurkit import clebsch_gordan
+
+    value = clebsch_gordan._wigner_value
+
+    def flipped(*args):
+        c = value(*args)
+        return -c if args == ((1,), 2, (1,), 0, 2) else c
+
+    clebsch_gordan.cg_block.cache_clear()
+    clebsch_gordan._entries.cache_clear()
+    monkeypatch.setattr(clebsch_gordan, "_wigner_value", flipped)
+    try:
+        yield
+    finally:
+        clebsch_gordan.cg_block.cache_clear()
+        clebsch_gordan._entries.cache_clear()
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_verify_report_catches_a_flipped_wigner_sign(flipped_wigner_sign, n):
+    with pytest.raises(ConsistencyError):
+        verify_report(n, 2, 1, 0)
+
+
+def test_conjugation_residuals_expose_a_flipped_wigner_sign(flipped_wigner_sign):
+    su = schur_unitary(4, 2)
+    rng = np.random.default_rng(0)
+    u, s = haar_unitary(2, rng), random_permutation(4, rng)
+    w = conjugate_by_schur(su, u=u, s=s)
+    wp = conjugate_by_schur(su, s=s)
+    factor = qconst = 0.0
+    for _, start, dq, dp in su.blocks:
+        b = slice(start, start + dq * dp)
+        factor = max(factor, kron_factor_residual(w[b, b], dq, dp))
+        qconst = max(qconst, perm_block_residual(wp[b, b].reshape(dq, dp, dq, dp)))
+    assert offdiag_block_mass(su, w) > 0.1
+    assert factor > 0.1
+    assert qconst > 0.1
+
+
+def test_conjugation_exposes_a_matrix_that_disagrees_with_the_cascade():
+    su = schur_unitary(3, 2)
+    m = su.matrix.copy()
+    m[[0, 4]] = m[[4, 0]]  # a (3) row swapped against a (2,1) row
+    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.row_index, su.blocks)
+    rng = np.random.default_rng(3)
+    w = conjugate_by_schur(broken, u=haar_unitary(2, rng), s=random_permutation(3, rng))
+    assert offdiag_block_mass(broken, w) > 1e-10
 
 
 def test_verify_report_needs_a_trial():

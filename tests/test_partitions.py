@@ -32,6 +32,7 @@ def test_normal_form_strips_trailing_zeros():
     assert Partition([2, 0]) == Partition([2])
     assert hash(Partition([3, 1, 0, 0])) == hash(Partition([3, 1]))
     assert len(Partition([0, 0])) == 0
+    assert Partition([1] + [0] * 4000) == Partition([1])
 
 
 def test_invalid_partitions_rejected():
