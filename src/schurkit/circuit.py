@@ -147,9 +147,9 @@ def two_level_decompose(u: np.ndarray, tol: float = 1e-10) -> GateList:
     gates. Reconstruction residual stays below 10 * tol.
     """
     u = np.asarray(u, dtype=complex)
-    size = u.shape[0]
-    if u.ndim != 2 or u.shape[1] != size:
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("input must be square")
+    size = u.shape[0]
     # Written so that a NaN residual fails the check too.
     if not np.max(np.abs(u.conj().T @ u - np.eye(size))) < tol:
         raise ValueError(f"input is not unitary to {tol}")

@@ -35,7 +35,7 @@ from .partitions import (
     format_partition,
     parse_partition,
 )
-from .schur import ResourceLimitError, schur_unitary
+from .schur import DEFAULT_MAX_DIM, ResourceLimitError, schur_unitary
 from .wigner import reduced_wigner_matrix
 
 
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="dense Schur transform with labeled rows")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-dim", type=int, default=4096)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.add_argument("--show-rows", type=int, default=0, metavar="K")
     _add_json(p)
     p.set_defaults(func=_cmd_schur)
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--decompose", action="store_true")
-    p.add_argument("--max-dim", type=int, default=4096)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     _add_json(p)
     p.set_defaults(func=_cmd_circuit)
 

@@ -4,11 +4,12 @@ characters.
 
 Conjugation forms W = C A S^T. A = U^{tensor n} P(s) is applied axis by
 axis to the transposed dense matrix S, and the left product C by U_Sch runs
-through the cascade (schur_matmul), the way the transform is applied
+through the cascade (schur_apply), the way the transform is applied
 everywhere else. W is block-diagonal with q (x) p blocks only if C and S are
 the same labeled Schur transform, so one run referees both: a wrong
 coefficient, or a matrix that disagrees with the cascade, shows up as a
-residual. Dense representation matrices are guarded by d^n <= 4096.
+residual. Dense representation matrices are guarded by d^n <= DEFAULT_MAX_DIM
+(4096), the dense bound of schur.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ import numpy as np
 
 from .bases import enumerate_gz, enumerate_paths, gz_to_ssyt
 from .partitions import Partition, dim_P
-from .schur import SchurUnitary, schur_matmul
-
-ORACLE_MAX_DIM = 4096
+from .schur import DEFAULT_MAX_DIM, SchurUnitary, schur_apply
 
 
 class ConsistencyError(RuntimeError):
@@ -114,8 +113,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _guard(n: int, d: int):
-    if d**n > ORACLE_MAX_DIM:
-        raise ValueError(f"oracle size d^n = {d**n} exceeds {ORACLE_MAX_DIM}")
+    if d**n > DEFAULT_MAX_DIM:
+        raise ValueError(f"oracle size d^n = {d**n} exceeds {DEFAULT_MAX_DIM}")
 
 
 def _perm_dest(s: Permutation, d: int, n: int) -> np.ndarray:
@@ -146,10 +145,11 @@ def perm_matrix(s: Permutation, d: int) -> np.ndarray:
 
 
 def apply_perm(s: Permutation, d: int, x: np.ndarray) -> np.ndarray:
-    """P(s) @ x without materializing the permutation matrix."""
+    """P(s) @ x without materializing the permutation matrix; the result is
+    C-contiguous whatever x's memory order."""
     n = s.n
     dest = _perm_dest(s, d, n)
-    out = np.empty_like(x)
+    out = np.empty(x.shape, x.dtype)
     out[dest] = x
     return out
 
@@ -178,7 +178,7 @@ def apply_tensor_power(u: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     g = 1
     while d ** (g + 1) <= 64 and g + 1 <= n:
         g += 1
-    t = np.asarray(x, dtype=complex)
+    t = np.ascontiguousarray(x, dtype=complex)
     k = 0
     while k < n:
         step = min(g, n - k)
@@ -274,7 +274,7 @@ def _block_conjugate(schur: SchurUnitary, lam: Partition, apply_a) -> np.ndarray
         if blam == lam:
             rows = slice(start, start + dq * dp)
             c = apply_a(schur.matrix[rows].T.copy())
-            w = schur_matmul(c, schur.n, schur.d, max_dim=len(schur.matrix))
+            w = schur_apply(c, schur.n, schur.d, max_dim=len(schur.matrix))
             return w[rows].reshape(dq, dp, dq, dp)
     raise KeyError(f"no block for {lam}")
 
@@ -346,16 +346,18 @@ def conjugate_by_schur(
 ) -> np.ndarray:
     """W = U_Sch (U^{tensor n} P(s)) U_Sch^dag, with either factor optional.
 
-    The right factor is applied axis by axis to a contiguous copy of the
-    transposed Schur matrix; the left product by U_Sch runs through the
-    cascade, bounded by the matrix's own size.
+    The right factor is applied axis by axis to the transposed Schur matrix,
+    a view: the first pass that writes a new array (apply_perm, the complex
+    cast of apply_tensor_power, or the cascade's own contiguous copy) reads
+    it in place, so no transposed copy is made. The left product by U_Sch
+    runs through the cascade, bounded by the matrix's own size.
     """
-    c = schur.matrix.T.copy()
+    c = schur.matrix.T
     if s is not None:
         c = apply_perm(s, schur.d, c)
     if u is not None:
         c = apply_tensor_power(u, schur.n, c)
-    return schur_matmul(c, schur.n, schur.d, max_dim=len(schur.matrix))
+    return schur_apply(c, schur.n, schur.d, max_dim=len(schur.matrix))
 
 
 def perm_block_residual(pblk: np.ndarray) -> float:

@@ -7,11 +7,12 @@ Columns are the computational basis (i_1, ..., i_n), big-endian base d.
 The cascade is carried per lambda sector: after k steps the state is a list
 of sector tensors aligned with enumerate_partitions(d, k), each with a GZ
 axis Q (dim Q_lambda), a path axis P (paths so far) and a rest axis R. In
-schur_apply and schur_matmul R is the register still to be consumed, most
-significant qudit first, times the batch columns; in the dense build it is
-the columns consumed so far. Step k pairs each sector's GZ index with the
-next qudit and applies the CG block of lambda, whose row slice for each
-valid j lands in the sector lambda + e_j. The routing of each step is one
+schur_apply, the one entry point for caller data (a state or a batch of
+columns, in either direction), R is the register still to be consumed,
+most significant qudit first, times the batch columns; in the dense build
+it is the columns consumed so far. Step k pairs each sector's GZ index
+with the next qudit and applies the CG block of lambda, whose row slice
+for each valid j lands in the sector lambda + e_j. The routing of each step is one
 cached table (_step): visiting lambda in canonical order visits the
 predecessors of every target in the order its path axis stacks them, which
 is exactly the path-rank order of the multiplicity register. A running
@@ -376,65 +377,6 @@ def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitar
     return SchurUnitary(n, d, matrix, row_labels, row_index, tuple(blocks))
 
 
-def _cascade_apply(x: np.ndarray, n: int, d: int, direction: str) -> np.ndarray:
-    """U_Sch @ x or U_Sch^T @ x for x of shape (d^n, m), through the cascade.
-
-    Batched columns ride along as the least-significant part of the rest
-    axis. Forward input rows are the computational basis and output rows the
-    canonical Schur order; the inverse swaps the two. The result is a new
-    array.
-    """
-    dim, m = x.shape
-    x = np.ascontiguousarray(x, np.complex128 if np.iscomplexobj(x) else np.float64)
-    if n == 1:
-        return x.copy()
-    rests = [d ** (n - k - 1) * m for k in range(n)]  # the rest after step k
-    layouts = {k: _step(k, d).layout(rests[k]) for k in range(1, n)}
-    row_layout = "qrp" if m == 1 else "qpr"  # its sectors lie in row order
-    # Every pass reads the state from one buffer and writes the other; work
-    # holds gathered operands and whole-block products (see the steps).
-    buffers = [np.empty(dim * m, x.dtype) for _ in range(2)]
-    work = [np.empty(dim * m, x.dtype) for _ in range(2)]
-
-    def spare() -> np.ndarray:
-        buffers.reverse()
-        return buffers[0]
-
-    if direction == "forward":
-        layout = layouts[1]
-        state = _sectors([(d, 1, d * rests[1])], layout, x.dtype, x)
-        for k in range(1, n):
-            if layout != layouts[k]:
-                state = _relayout(state, layout, layouts[k], spare())
-                layout = layouts[k]
-            state = _forward_step(state, k, d, layout, rests[k], out=spare(), work=work)
-        if layout != row_layout:
-            _relayout(state, layout, row_layout, spare())
-        return buffers[0].reshape(dim, m)
-    shapes = [(dq, dp, m) for dq, dp in _step(n - 1, d).targets]
-    state = _sectors(shapes, row_layout, x.dtype, x)
-    layout = row_layout
-    for k in range(n - 1, 0, -1):
-        if layout != layouts[k]:
-            state = _relayout(state, layout, layouts[k], spare())
-            layout = layouts[k]
-        state = _inverse_step(state, k, d, layout, rests[k], spare(), work)
-    return buffers[0].reshape(dim, m)
-
-
-def schur_matmul(x: np.ndarray, n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """U_Sch @ x for x of shape (d^n, m), via the cascade.
-
-    This costs far less than materializing the d^n square matrix. Rows of
-    the result follow the canonical Schur row order.
-    """
-    dim = _check_size(n, d, max_dim)
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != dim:
-        raise ValueError(f"x must have d^n = {dim} rows")
-    return _cascade_apply(x, n, d, "forward")
-
-
 def schur_labels(n: int, d: int) -> list[tuple[Partition, GzPattern, YyPath]]:
     """Row labels of the Schur basis in canonical row order."""
     out = []
@@ -446,26 +388,67 @@ def schur_labels(n: int, d: int) -> list[tuple[Partition, GzPattern, YyPath]]:
 
 
 def schur_apply(
-    state: np.ndarray,
+    x: np.ndarray,
     n: int,
     d: int,
     direction: str = "forward",
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
-    """Apply the Schur transform (or its inverse) to a state vector.
+    """U_Sch @ x, or U_Sch^T @ x for the inverse, through the cascade.
 
-    Forward input is a length-d^n amplitude vector over the computational
-    basis; the output is ordered by the canonical Schur row order (see
-    schur_labels). The inverse runs the same cascade backwards through the
-    transposed CG blocks; neither direction materializes the full matrix.
+    x is one state of shape (d^n,) or a batch of columns (d^n, m), real or
+    complex; the result is a new array of x's shape, float64 for real
+    input and complex128 for complex input. Forward input rows are the
+    computational basis and output rows the canonical Schur order (see
+    schur_labels); the inverse swaps the two and runs the same cascade
+    backwards through the transposed CG blocks. Batched columns ride along
+    as the least-significant part of the rest axis, and neither direction
+    materializes the full matrix.
     """
     dim = _check_size(n, d, max_dim)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    v = np.asarray(state, dtype=complex).reshape(-1)
-    if v.shape != (dim,):
-        raise ValueError(f"state length {v.size} != d^n = {dim}")
-    return _cascade_apply(v.reshape(dim, 1), n, d, direction).reshape(dim)
+    x = np.asarray(x)
+    shape = x.shape
+    if shape[:1] != (dim,) or x.ndim > 2:
+        raise ValueError(f"x must be (d^n,) or (d^n, m) with d^n = {dim}, not {shape}")
+    m = shape[1] if x.ndim == 2 else 1
+    dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+    x = np.ascontiguousarray(x, dtype).reshape(dim, m)
+    if n == 1:
+        return x.reshape(shape).copy()
+    rests = [d ** (n - k - 1) * m for k in range(n)]  # the rest after step k
+    layouts = {k: _step(k, d).layout(rests[k]) for k in range(1, n)}
+    row_layout = "qrp" if m == 1 else "qpr"  # its sectors lie in row order
+    # Every pass reads the state from one buffer and writes the other; work
+    # holds gathered operands and whole-block products (see the steps).
+    buffers = [np.empty(dim * m, dtype) for _ in range(2)]
+    work = [np.empty(dim * m, dtype) for _ in range(2)]
+
+    def spare() -> np.ndarray:
+        buffers.reverse()
+        return buffers[0]
+
+    if direction == "forward":
+        layout = layouts[1]
+        state = _sectors([(d, 1, d * rests[1])], layout, dtype, x)
+        for k in range(1, n):
+            if layout != layouts[k]:
+                state = _relayout(state, layout, layouts[k], spare())
+                layout = layouts[k]
+            state = _forward_step(state, k, d, layout, rests[k], out=spare(), work=work)
+        if layout != row_layout:
+            _relayout(state, layout, row_layout, spare())
+        return buffers[0].reshape(shape)
+    shapes = [(dq, dp, m) for dq, dp in _step(n - 1, d).targets]
+    state = _sectors(shapes, row_layout, dtype, x)
+    layout = row_layout
+    for k in range(n - 1, 0, -1):
+        if layout != layouts[k]:
+            state = _relayout(state, layout, layouts[k], spare())
+            layout = layouts[k]
+        state = _inverse_step(state, k, d, layout, rests[k], spare(), work)
+    return buffers[0].reshape(shape)
 
 
 def compress_p(state: Mapping) -> dict:

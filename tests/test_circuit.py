@@ -85,6 +85,9 @@ def test_rejects_non_unitary():
         two_level_decompose(np.ones((3, 3)))
     with pytest.raises(ValueError):
         two_level_decompose(np.zeros((2, 3)))
+    for bad in (np.array(1.0), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="input must be square"):
+            two_level_decompose(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

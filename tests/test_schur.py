@@ -14,7 +14,6 @@ from schurkit.schur import (
     decompress_p,
     schur_apply,
     schur_labels,
-    schur_matmul,
     schur_unitary,
 )
 
@@ -188,9 +187,9 @@ LAYOUT_SIZES = (
 
 
 def test_cascade_matches_matrix_in_every_layout():
-    """Forward and inverse, with one and with three columns, against the
-    dense matrix: the step where the cascade leaves the paths-major layout
-    depends on n, d and the number of columns."""
+    """Forward and inverse, with one and with three columns, real and
+    complex, against the dense matrix: the step where the cascade leaves
+    the paths-major layout depends on n, d and the number of columns."""
     rng = np.random.default_rng(24)
     switches = set()
     for n, d in LAYOUT_SIZES:
@@ -200,10 +199,13 @@ def test_cascade_matches_matrix_in_every_layout():
             rests = [d ** (n - k - 1) * cols for k in range(1, n)]
             layouts = [schur._step(k, d).layout(r) for k, r in enumerate(rests, 1)]
             switches.add(tuple(layouts))
-            x = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
-            assert np.max(np.abs(schur_matmul(x, n, d) - m @ x)) < 1e-13, (n, d, cols)
-            back = schur._cascade_apply(x, n, d, "inverse")
-            assert np.max(np.abs(back - m.T @ x)) < 1e-13, (n, d, cols)
+            real = rng.standard_normal((dim, cols))
+            for x in (real, real + 1j * rng.standard_normal((dim, cols))):
+                for direction, ref in (("forward", m), ("inverse", m.T)):
+                    out = schur_apply(x, n, d, direction)
+                    case = (n, d, cols, x.dtype, direction)
+                    assert out.shape == x.shape and out.dtype == x.dtype, case
+                    assert np.max(np.abs(out - ref @ x)) < 1e-13, case
     # both layouts, and switches at many steps, were exercised
     assert {"pqr", "qrp"} <= {layout for seq in switches for layout in seq}
     assert len({seq.count("pqr") for seq in switches}) >= 8
@@ -239,18 +241,31 @@ def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
         run()
 
 
-def test_schur_matmul_matches_matrix():
+def test_schur_apply_batches_match_matrix():
     rng = np.random.default_rng(22)
     su = schur_unitary(3, 3)
     x = rng.standard_normal((27, 5))
-    assert np.allclose(schur_matmul(x, 3, 3), su.matrix @ x, atol=1e-13)
+    out = schur_apply(x, 3, 3)
+    assert out.shape == (27, 5) and out.dtype == np.float64
+    assert np.allclose(out, su.matrix @ x, atol=1e-13)
+    # one column stays a batch, and integer input runs as float64
+    col = schur_apply(x[:, :1], 3, 3, "inverse")
+    assert col.shape == (27, 1)
+    assert np.allclose(col, su.matrix.T @ x[:, :1], atol=1e-13)
+    ints = schur_apply(np.eye(27, dtype=int)[4], 3, 3)
+    assert ints.dtype == np.float64 and np.allclose(ints, su.matrix[:, 4], atol=1e-13)
+    for direction in ("forward", "inverse"):
+        empty = schur_apply(np.zeros((27, 0), complex), 3, 3, direction)
+        assert empty.shape == (27, 0) and empty.dtype == np.complex128
     with pytest.raises(ValueError):
-        schur_matmul(x[:5], 3, 3)
+        schur_apply(x[:5], 3, 3)
 
 
 def test_apply_argument_errors():
-    with pytest.raises(ValueError):
-        schur_apply(np.zeros(7), 3, 2)
+    # at (3,2): wrong length, a third axis, 0-d, and the tensor-shaped state
+    for x in (np.zeros(7), np.zeros(9), np.zeros((8, 2, 1)), np.array(0.0), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"\(d\^n,\) or \(d\^n, m\)"):
+            schur_apply(x, 3, 2)
     with pytest.raises(ValueError):
         schur_apply(np.zeros(8), 3, 2, "sideways")
 
