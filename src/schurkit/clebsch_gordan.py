@@ -80,11 +80,6 @@ def _patterns(lam_parts: tuple, d: int) -> tuple:
     return runs, _frozen(sums)
 
 
-def _count(lam_parts: tuple, d: int) -> int:
-    """Number of GZ patterns of lambda at d."""
-    return len(_patterns(lam_parts, d)[1])
-
-
 @lru_cache(maxsize=None)
 def _entries(lam_parts: tuple, d: int) -> tuple:
     """The nonzero entries of the CG block of lambda at d: (ints, vals).
@@ -119,7 +114,9 @@ def _entries(lam_parts: tuple, d: int) -> tuple:
                 if c != 0.0:
                     coeffs[t][m * d + jp] = c
                     offsets[t][m * d + jp] = nu_runs[mupp]
-    lower = [(_entries(mu, d - 1), _branch(_count(mu, d - 1), d)) for mu in runs]
+    lower = [
+        (_entries(mu, d - 1), _branch(dim_Q(Partition(mu), d - 1), d)) for mu in runs
+    ]
     ints = np.concatenate([x[0] for pair in lower for x in pair], axis=1)
     # Each mu' moves to its run: key m*d + j', pattern o + p.
     shift = np.array([(m * d, 0, o, 0) for m, o in enumerate(runs.values())]).T
@@ -189,8 +186,8 @@ class CgBlock:
         """(j, GzPattern of lambda + e_j) per row."""
         return tuple(
             (j, q)
-            for j, nu in _targets(self.lam.parts, self.d)
-            for q in enumerate_gz(Partition(nu), self.d)
+            for j, nu, _ in cg_rows(self.lam, self.d)
+            for q in enumerate_gz(nu, self.d)
         )
 
     @cached_property
@@ -355,19 +352,36 @@ def _stack_by_weight(row_sums: np.ndarray, col_sums: np.ndarray, rows, cols, val
 
 
 @cache
+def cg_rows(lam: Partition, d: int) -> tuple:
+    """The row layout of cg_block(lambda, d): ((j, lambda + e_j, rows), ...).
+
+    Rows run over the valid j ascending, then the GZ patterns of lambda + e_j
+    in canonical order; rows is the slice that lambda + e_j fills.
+    """
+    out = []
+    start = 0
+    for j, nu in _targets(lam.parts, d):
+        nu = Partition(nu)
+        stop = start + dim_Q(nu, d)
+        out.append((j, nu, slice(start, stop)))
+        start = stop
+    return tuple(out)
+
+
+@cache
 def cg_block(lam: Partition, d: int) -> CgBlock:
     """Build the CG block for lambda at dimension d.
 
-    Rows run over valid j ascending, then GZ patterns of lambda + e_j in
-    canonical order; columns over GZ patterns of lambda in canonical order,
-    then i in 1..d. Unitary by construction (verified in tests to 1e-12).
+    Rows are laid out by cg_rows; columns run over GZ patterns of lambda in
+    canonical order, then i in 1..d. Unitary by construction (verified in
+    tests to 1e-12).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if len(lam) > d:
         raise ValueError(f"lambda={lam} needs more than d={d} rows")
-    targets = _targets(lam.parts, d)
-    row_sums = np.concatenate([_patterns(nu, d)[1] for _, nu in targets])
+    rows = cg_rows(lam, d)
+    row_sums = np.concatenate([_patterns(nu.parts, d)[1] for _, nu, _ in rows])
     sums = _patterns(lam.parts, d)[1]
     size = dim_Q(lam, d) * d
     if not len(row_sums) == len(sums) * d == size:
@@ -379,10 +393,8 @@ def cg_block(lam: Partition, d: int) -> CgBlock:
     steps = np.array([[int(k >= i) for k in range(d)] for i in range(d)])
     col_sums = (sums[:, None, :] + steps).reshape(size, d)
     starts = np.zeros(d + 1, dtype=np.intp)  # first row of each valid j
-    row = 0
-    for j, nu in targets:
-        starts[j] = row
-        row += _count(nu, d)
+    for j, _, at in rows:
+        starts[j] = at.start
     (j, s, p, i), vals = _entries(lam.parts, d)
     stacked = _stack_by_weight(row_sums, col_sums, starts[j] + s, p * d + i - 1, vals)
     return CgBlock(lam, d, *stacked)

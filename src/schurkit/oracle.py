@@ -9,7 +9,7 @@ everywhere else. W is block-diagonal with q (x) p blocks only if C and S are
 the same labeled Schur transform, so one run referees both: a wrong
 coefficient, or a matrix that disagrees with the cascade, shows up as a
 residual. Dense representation matrices are guarded by d^n <= DEFAULT_MAX_DIM
-(4096), the dense bound of schur.
+(4096), the dense bound of schur, and raise its ResourceLimitError beyond it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .bases import enumerate_gz, enumerate_paths, gz_to_ssyt
 from .partitions import Partition, dim_P
-from .schur import DEFAULT_MAX_DIM, SchurUnitary, schur_apply
+from .schur import DEFAULT_MAX_DIM, ResourceLimitError, SchurUnitary, schur_apply
 
 
 class ConsistencyError(RuntimeError):
@@ -114,7 +114,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _guard(n: int, d: int):
     if d**n > DEFAULT_MAX_DIM:
-        raise ValueError(f"oracle size d^n = {d**n} exceeds {DEFAULT_MAX_DIM}")
+        raise ResourceLimitError(
+            f"d^n = {d**n} exceeds the configured bound {DEFAULT_MAX_DIM}"
+        )
 
 
 def _perm_dest(s: Permutation, d: int, n: int) -> np.ndarray:

@@ -12,12 +12,15 @@ columns, in either direction), R is the register still to be consumed,
 most significant qudit first, times the batch columns; in the dense build
 it is the columns consumed so far. Step k pairs each sector's GZ index
 with the next qudit and applies the CG block of lambda, whose row slice
-for each valid j lands in the sector lambda + e_j. The routing of each step is one
-cached table (_step): visiting lambda in canonical order visits the
-predecessors of every target in the order its path axis stacks them, which
-is exactly the path-rank order of the multiplicity register. A running
-cursor per target places each predecessor's paths, and every target's path
-axis must come out exactly filled.
+for each valid j (see cg_rows) lands in the sector lambda + e_j. The
+routing of each step is a plan (_step), built and checked once per (k, d):
+each route fixes its target, its row slice of the block and the slice of
+the target's path axis that lambda's paths fill. Visiting lambda in
+canonical order visits the predecessors of every target in the order its
+path axis stacks them, which is exactly the path-rank order of the
+multiplicity register. Building a plan raises RuntimeError unless every
+target's path axis is filled exactly, before any buffer is allocated, so
+the steps themselves only move data.
 
 The cascade stores the sectors in one of two layouts, chosen so that
 consuming the next qudit is a free reshape and each product writes its rows
@@ -32,7 +35,7 @@ the rest of the register, sum(dim_P) < sectors * d^(n-k-1) * m, and "qrp"
 from there on; the state changes layout by one transpose. A weight-grouped
 block (see CgBlock) instead gathers its operand into the block's stacked
 order, multiplies it once, and each route takes its rows of the product
-into its slab. The inverse walks the same tables backwards: one gather per
+into its slab. The inverse walks the same plans backwards: one gather per
 lambda copies its slab of each target into a contiguous operand (in the
 stacked order for a grouped block), and one product with the transposed
 block writes lambda's sector. The dense build keeps (Q, P, R), the "qpr"
@@ -59,11 +62,10 @@ from .bases import (
     rank_path,
     unrank_path,
 )
-from .clebsch_gordan import cg_block
+from .clebsch_gordan import cg_block, cg_rows
 from .jsonform import lists, pairs
 from .partitions import (
     Partition,
-    add_box,
     dim_P,
     dim_Q,
     enumerate_partitions,
@@ -208,10 +210,10 @@ def _relayout(state: list, old: str, new: str, out: np.ndarray) -> list:
 
 
 class _Step(NamedTuple):
-    """Routing of the CG step from k to k + 1 boxes (see _step)."""
+    """The plan of the CG step from k to k + 1 boxes (see _step)."""
 
     sources: tuple  # (lambda, dim_Q, dim_P, routes) per lambda with k boxes
-    targets: tuple  # (dim_Q, dim_P) per lambda with k + 1 boxes
+    targets: tuple  # (lambda, dim_Q, dim_P) per lambda with k + 1 boxes
     paths: int  # sum of dim_P over the sources
 
     def layout(self, rest: int) -> str:
@@ -222,48 +224,36 @@ class _Step(NamedTuple):
 
 @cache
 def _step(k: int, d: int) -> _Step:
-    """Routing of the CG step from k to k + 1 boxes, computed once.
+    """The plan of the CG step from k to k + 1 boxes, built and checked once.
 
     One source per lambda in enumerate_partitions(d, k), in that order; its
-    routes are (t, rows) per valid j ascending, where t indexes lambda + e_j
-    in enumerate_partitions(d, k + 1) and rows is its row slice of
-    cg_block(lambda, d). A target stacks its predecessors in canonical
+    routes are (t, rows, paths) per row slice of cg_rows(lambda, d): t
+    indexes lambda + e_j in enumerate_partitions(d, k + 1), rows is its row
+    slice of cg_block(lambda, d) and paths the slice of t's path axis that
+    lambda's paths fill. A target stacks its predecessors in canonical
     order, so walking the sources in order fills each path axis in rank
-    order.
+    order. Raises RuntimeError unless every target's path axis is filled
+    exactly.
     """
-    targets = enumerate_partitions(d, k + 1)
-    index = {lam.parts: t for t, lam in enumerate(targets)}
+    lams = enumerate_partitions(d, k + 1)
+    index = {lam: t for t, lam in enumerate(lams)}
+    cursors = [0] * len(lams)
     sources = []
     for lam in enumerate_partitions(d, k):
+        dp = dim_P(lam)
         routes = []
-        start = 0
-        for j in range(1, d + 1):
-            target = add_box(lam, j, d)
-            if target is not None:
-                stop = start + dim_Q(target, d)
-                routes.append((index[target.parts], slice(start, stop)))
-                start = stop
-        sources.append((lam, dim_Q(lam, d), dim_P(lam), tuple(routes)))
-    shapes = tuple((dim_Q(lam, d), dim_P(lam)) for lam in targets)
-    return _Step(tuple(sources), shapes, sum(dp for _, _, dp, _ in sources))
-
-
-def _paths(cursors: list, t: int, count: int, width: int, k: int) -> slice:
-    """The next `count` paths of sector t, whose path axis is `width` wide."""
-    start = cursors[t]
-    stop = cursors[t] = start + count
-    if stop > width:
-        raise RuntimeError(f"step {k}: routes overrun the {width} paths of sector {t}")
-    return slice(start, stop)
-
-
-def _check_cursors(k: int, cursors: list, targets: tuple) -> None:
-    """Raise unless every target's path axis was met exactly."""
-    for t, (cursor, (_, width)) in enumerate(zip(cursors, targets)):
+        for _, nu, rows in cg_rows(lam, d):
+            t = index[nu]
+            routes.append((t, rows, slice(cursors[t], cursors[t] + dp)))
+            cursors[t] += dp
+        sources.append((lam, dim_Q(lam, d), dp, tuple(routes)))
+    targets = tuple((lam, dim_Q(lam, d), dim_P(lam)) for lam in lams)
+    for t, (cursor, (_, _, width)) in enumerate(zip(cursors, targets)):
         if cursor != width:
             raise RuntimeError(
                 f"step {k}: routes cover {cursor} of the {width} paths of sector {t}"
             )
+    return _Step(tuple(sources), targets, sum(dp for _, _, dp, _ in sources))
 
 
 def _forward_step(
@@ -282,9 +272,8 @@ def _forward_step(
     given.
     """
     step = _step(k, d)
-    shapes = [(dq, dp, rest) for dq, dp in step.targets]
+    shapes = [(dq, dp, rest) for _, dq, dp in step.targets]
     targets = _sectors(shapes, layout, state[0].dtype, out)
-    cursors = [0] * len(targets)
     p_lead = (slice(None),) * layout.index("p")  # the axes before P
     for (lam, dq, dp, routes), tensor in zip(step.sources, state):
         block = cg_block(lam, d)
@@ -303,14 +292,13 @@ def _forward_step(
             block.stacked_dot(y, product)
         else:
             x = _q_at(x, layout, 1)
-        for t, rows in routes:
-            slab = targets[t][p_lead + (_paths(cursors, t, dp, step.targets[t][1], k),)]
+        for t, rows, paths in routes:
+            slab = targets[t][p_lead + (paths,)]
             if dense is None:
                 at = block.row_at[rows]
                 np.take(product, at, axis=0, out=_q_at(slab, layout, 0), mode="clip")
             else:
                 np.matmul(dense[rows], x, out=_q_at(slab, layout, 1))
-    _check_cursors(k, cursors, step.targets)
     return targets
 
 
@@ -331,7 +319,6 @@ def _inverse_step(
     dtype = state[0].dtype
     shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
     prev = _sectors(shapes, layout, dtype, out)
-    cursors = [0] * len(state)
     q_lead = (slice(None),) * layout.index("q")  # the axes before Q
     p_lead = (slice(None),) * layout.index("p")  # the axes before P
     for (lam, dq, dp, routes), sector in zip(step.sources, prev):
@@ -340,24 +327,22 @@ def _inverse_step(
         if block.dense is None:
             shape = _q_at(x, layout, 0).shape
             y, product = (_real(w)[: _real(x).size].reshape(shape) for w in work)
-            for t, rows in routes:
-                paths = _paths(cursors, t, dp, step.targets[t][1], k)
+            for t, rows, paths in routes:
                 y[block.row_at[rows]] = _q_at(state[t][p_lead + (paths,)], layout, 0)
             block.stacked_dot(y, product, transpose=True)
             _q_at(x, layout, 0)[block.cols] = product
         else:
             y = work[0][: x.size].reshape(x.shape)
-            for t, rows in routes:
-                paths = _paths(cursors, t, dp, step.targets[t][1], k)
+            for t, rows, paths in routes:
                 y[q_lead + (rows,)] = state[t][p_lead + (paths,)]
             np.matmul(block.dense.T, _along_q(y, layout), out=_along_q(x, layout))
-    _check_cursors(k, cursors, step.targets)
     return prev
 
 
 def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitary:
     """Build the dense Schur transform with labeled rows."""
     dim = _check_size(n, d, max_dim)
+    steps = [_step(k, d) for k in range(n)]  # checked before the matrix exists
     matrix = np.empty((dim, dim))
     state = [np.eye(d).reshape(d, 1, d)]
     for k in range(1, n):
@@ -367,8 +352,7 @@ def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitar
         matrix[...] = state[0].reshape(d, d)
     blocks = []
     start = 0
-    for lam in enumerate_partitions(d, n):
-        dq, dp = dim_Q(lam, d), dim_P(lam)
+    for lam, dq, dp in steps[-1].targets:
         blocks.append((lam, start, dq, dp))
         start += dq * dp
     matrix.setflags(write=False)
@@ -440,7 +424,7 @@ def schur_apply(
         if layout != row_layout:
             _relayout(state, layout, row_layout, spare())
         return buffers[0].reshape(shape)
-    shapes = [(dq, dp, m) for dq, dp in _step(n - 1, d).targets]
+    shapes = [(dq, dp, m) for _, dq, dp in _step(n - 1, d).targets]
     state = _sectors(shapes, row_layout, dtype, x)
     layout = row_layout
     for k in range(n - 1, 0, -1):

@@ -28,7 +28,7 @@ from schurkit.oracle import (
     young_symmetrizer,
 )
 from schurkit.partitions import Partition, dim_Q, enumerate_partitions
-from schurkit.schur import SchurUnitary, schur_unitary
+from schurkit.schur import ResourceLimitError, SchurUnitary, schur_unitary
 
 
 def P(*parts):
@@ -69,6 +69,21 @@ def test_perm_matrix_homomorphism_and_orthogonality():
         m1, m2 = perm_matrix(s1, 2), perm_matrix(s2, 2)
         assert np.array_equal(m1 @ m2, perm_matrix(s1.compose(s2), 2))
         assert np.array_equal(m1 @ m1.T, np.eye(16))
+
+
+def test_dense_oracle_bound_raises_resource_limit():
+    """At (13,2), d^n = 8192: the oracle's dense matrices raise the same
+    exception as schur_unitary, so one handler catches either."""
+    n, d = 13, 2
+    lam = P(7, 6)
+    tableau = StandardTableauFilling(lam, (tuple(range(1, 8)), tuple(range(8, 14))))
+    for build in (
+        lambda: perm_matrix(identity_permutation(n), d),
+        lambda: tensor_power(np.eye(d), n),
+        lambda: young_symmetrizer(tableau, d),
+    ):
+        with pytest.raises(ResourceLimitError, match="d\\^n = 8192 exceeds"):
+            build()
 
 
 def test_tensor_power_examples():

@@ -215,7 +215,9 @@ def test_cascade_matches_matrix_in_every_layout():
 @pytest.mark.parametrize("route", ["forward", "inverse", "unitary"])
 def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
     """The sector tensors start uninitialised, so a route missing from (or
-    repeated in) a step's table must raise, not leave garbage in a sector."""
+    repeated in) a step's plan must raise when the plan is built, not leave
+    garbage in a sector. The plan is corrupted through its input: one
+    source's row layout at step 3 loses or repeats its last route."""
     n, d = 6, 3
     v = np.random.default_rng(25).standard_normal(d**n)
     run = {
@@ -224,21 +226,23 @@ def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
         "unitary": lambda: schur_unitary(n, d),
     }[route]
     run()
-    real = schur._step
+    real = schur.cg_rows
+    source = enumerate_partitions(d, 3)[1]
 
-    def corrupted(k, dd):
-        step = real(k, dd)
-        if k != 3:
-            return step
-        sources = list(step.sources)
-        lam, dq, dp, routes = sources[1]
-        routes = routes[:-1] if change == "drop" else routes + routes[-1:]
-        sources[1] = (lam, dq, dp, routes)
-        return step._replace(sources=tuple(sources))
+    def corrupted(lam, dd):
+        rows = real(lam, dd)
+        if lam != source:
+            return rows
+        return rows[:-1] if change == "drop" else rows + rows[-1:]
 
-    monkeypatch.setattr(schur, "_step", corrupted)
-    with pytest.raises(RuntimeError, match="paths"):
-        run()
+    schur._step.cache_clear()
+    monkeypatch.setattr(schur, "cg_rows", corrupted)
+    try:
+        with pytest.raises(RuntimeError, match="paths"):
+            run()
+    finally:
+        monkeypatch.undo()
+        schur._step.cache_clear()
 
 
 def test_schur_apply_batches_match_matrix():
@@ -320,20 +324,31 @@ def test_matrix_free_apply_at_2_to_the_20():
 
 @pytest.mark.parametrize("n, d", [(6, 3), (7, 2), (5, 4), (4, 3)])
 def test_path_axis_follows_youngs_orthogonal_form(n, d):
-    # In Young's orthogonal form the adjacent transposition (k, k+1) has
-    # diagonal entry 1 / (c_{k+1} - c_k) on each path, where c_m is the content
-    # (column - row) of the box holding m in the path's standard tableau. This
-    # pins the order in which each sector stacks its predecessors' paths.
+    # In Young's orthogonal form the adjacent transposition (k, k+1) sends
+    # the standard tableau T to (1/r) T + sqrt(1 - 1/r^2) T', where
+    # r = c_{k+1} - c_k, c_m is the content (column - row) of the box
+    # holding m, and T' is T with k and k+1 swapped (a standard tableau
+    # whenever |r| > 1). The whole block, not only its diagonal, pins the
+    # order in which each sector stacks its predecessors' paths.
     su = schur_unitary(n, d)
     for lam in enumerate_partitions(d, n):
-        contents = [  # one {entry: content} per path, in rank order
-            {v: col - row for row, r in enumerate(t.rows) for col, v in enumerate(r)}
-            for t in standard_fillings(lam)
+        tableaux = [t.rows for t in standard_fillings(lam)]  # in rank order
+        rank = {rows: a for a, rows in enumerate(tableaux)}
+        contents = [  # one {entry: content} per tableau
+            {v: c - r for r, row in enumerate(rows) for c, v in enumerate(row)}
+            for rows in tableaux
         ]
         for k in range(1, n):
+            swap = {k: k + 1, k + 1: k}
+            expected = np.zeros((len(tableaux), len(tableaux)))
+            for a, (rows, content) in enumerate(zip(tableaux, contents)):
+                axial = content[k + 1] - content[k]
+                expected[a, a] = 1 / axial
+                swapped = tuple(tuple(swap.get(v, v) for v in row) for row in rows)
+                if swapped in rank:
+                    expected[rank[swapped], a] = math.sqrt(1 - 1 / axial**2)
             block = extract_perm_irrep(su, lam, transposition(n, k, k + 1))
-            expected = [1 / (c[k + 1] - c[k]) for c in contents]
-            assert np.max(np.abs(np.diag(block) - expected)) < 1e-12, (lam, k)
+            assert np.max(np.abs(block - expected)) < 1e-12, (lam, k)
 
 
 def test_resource_bound():
