@@ -219,8 +219,6 @@ def _control_pairs(d: int, k: int) -> set[tuple]:
     """All (mu, mu'') reduced-Wigner controls reachable at cascade step k."""
     pairs = set()
     for mu in enumerate_partitions(d, k):
-        if len(mu) > d:
-            continue
         targets = [add_box(mu, j, d) for j in range(1, d + 1)]
         targets = [t for t in targets if t is not None]
         seen: set[Partition] = set()

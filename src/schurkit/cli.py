@@ -6,7 +6,8 @@ digits, so identical flags (and seed) give byte-identical JSON.
 
 Exit codes: 0 success, 2 argument error (including a --json FILE that cannot
 be written), 3 resource bound exceeded, 4 verification failure (a tolerance
-breach, or an oracle consistency check that fails).
+breach, or an oracle consistency check that fails, such as a conjugation
+that is not finite).
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ def _cmd_cg(args) -> int:
 def _cmd_schur(args) -> int:
     if args.show_rows < 0:
         raise ValueError(f"--show-rows must be >= 0, got {args.show_rows}")
+    if args.max_dim < 1:
+        raise ValueError(f"--max-dim must be >= 1, got {args.max_dim}")
     su = schur_unitary(args.n, args.d, max_dim=args.max_dim)
     print(f"schur n={args.n} d={args.d}: {su.matrix.shape[0]} x {su.matrix.shape[1]}")
     for (lam, q, p), _ in zip(su.row_labels, range(args.show_rows)):
@@ -152,6 +155,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
+    if args.max_dim < 1:
+        raise ValueError(f"--max-dim must be >= 1, got {args.max_dim}")
     report = gate_count_report(args.n, args.d)
     print(f"{'step':>6}{'dim':>6}{'control_pairs':>16}{'rotation_classes':>18}")
     for st in report.steps:

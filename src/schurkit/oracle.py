@@ -2,14 +2,16 @@
 representations, Young symmetrizers, irrep extraction, and Schur-polynomial
 characters.
 
-Conjugation forms W = C A S^T. A = U^{tensor n} P(s) is applied axis by
-axis to the transposed dense matrix S, and the left product C by U_Sch runs
-through the cascade (schur_apply), the way the transform is applied
-everywhere else. W is block-diagonal with q (x) p blocks only if C and S are
-the same labeled Schur transform, so one run referees both: a wrong
-coefficient, or a matrix that disagrees with the cascade, shows up as a
-residual. Dense representation matrices are guarded by d^n <= DEFAULT_MAX_DIM
-(4096), the dense bound of schur, and raise its ResourceLimitError beyond it.
+One routine conjugates: it forms rows of W = C A S^T, with A = U^{tensor n}
+P(s) applied axis by axis to the transposed dense matrix S and the left
+product by C = U_Sch run through the cascade (schur_apply). conjugate_by_schur
+takes all rows, the extractors one lambda block's, and a W that is not finite
+raises ConsistencyError there. W has q (x) p blocks only if C and S are the
+same labeled Schur transform, so one run referees both: a wrong coefficient,
+or a matrix that disagrees with the cascade, shows up as a residual of the one
+factor (x) I reader, which the extractors and verify share. Dense
+representation matrices are guarded by d^n <= DEFAULT_MAX_DIM (4096), the
+dense bound of schur, and raise its ResourceLimitError beyond it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .schur import DEFAULT_MAX_DIM, ResourceLimitError, SchurUnitary, schur_appl
 
 
 class ConsistencyError(RuntimeError):
-    """An extracted block depended on the index it must be constant over."""
+    """The oracle found the transform wrong: a conjugated block that is not
+    factor (x) I, or a conjugation that is not finite."""
 
 
 class Permutation:
@@ -270,45 +273,68 @@ def young_symmetrizer(t: StandardTableauFilling, d: int) -> np.ndarray:
     return (dim_P(t.shape) / math.factorial(n)) * (csum @ rsum)
 
 
-def _block_conjugate(schur: SchurUnitary, lam: Partition, apply_a) -> np.ndarray:
-    """The lambda block of C A S^T, shaped (dim_Q, dim_P, dim_Q, dim_P)."""
+def _conjugate_rows(
+    schur: SchurUnitary, rows: slice, u: np.ndarray | None, s: Permutation | None
+) -> np.ndarray:
+    """Rows and columns `rows` of W = C A S^T; ConsistencyError unless finite.
+
+    A's factors act on the transposed Schur rows, a view that the first pass
+    writing a new array (apply_perm, apply_tensor_power's complex cast, or the
+    cascade's contiguous copy) reads in place, so no transposed copy is made.
+    """
+    c = schur.matrix[rows].T
+    if s is not None:
+        c = apply_perm(s, schur.d, c)
+    if u is not None:
+        c = apply_tensor_power(u, schur.n, c)
+    w = schur_apply(c, schur.n, schur.d, max_dim=len(schur.matrix))[rows]
+    if not np.isfinite(w).all():
+        raise ConsistencyError(f"conjugation at n={schur.n} d={schur.d} is not finite")
+    return w
+
+
+def conjugate_by_schur(
+    schur: SchurUnitary, u: np.ndarray | None = None, s: Permutation | None = None
+) -> np.ndarray:
+    """W = U_Sch (U^{tensor n} P(s)) U_Sch^dag, with either factor optional."""
+    return _conjugate_rows(schur, slice(None), u, s)
+
+
+def _factor_residual(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """(w[:, 0, :, 0], max |w - factor (x) I|) for a block shaped
+    (factor, other, factor, other); the off-diagonal other blocks count."""
+    factor = w[:, 0, :, 0]
+    res = w.copy()
+    for b in range(w.shape[1]):
+        res[:, b, :, b] -= factor
+    return factor, float(np.max(np.abs(res)))
+
+
+def _read_factor(schur: SchurUnitary, lam: Partition, u=None, s=None) -> np.ndarray:
+    """The q factor (given u) or p factor (given s) of lambda's conjugated
+    block, which must be factor (x) I to 1e-9, else the labels are wrong."""
     for blam, start, dq, dp in schur.blocks:
         if blam == lam:
-            rows = slice(start, start + dq * dp)
-            c = apply_a(schur.matrix[rows].T.copy())
-            w = schur_apply(c, schur.n, schur.d, max_dim=len(schur.matrix))
-            return w[rows].reshape(dq, dp, dq, dp)
+            w = _conjugate_rows(schur, slice(start, start + dq * dp), u, s)
+            w = w.reshape(dq, dp, dq, dp)
+            factor, other = ("q", "p") if s is None else ("p", "q")
+            out, res = _factor_residual(w if s is None else w.transpose(1, 0, 3, 2))
+            if not res <= 1e-9:  # NaN fails
+                raise ConsistencyError(
+                    f"{factor}-block of {lam} depends on the fixed {other} index"
+                )
+            return out
     raise KeyError(f"no block for {lam}")
-
-
-def _read_factor(w: np.ndarray, lam: Partition, factor: str, other: str) -> np.ndarray:
-    """w[:, 0, :, 0] of a block shaped (factor, other, factor, other).
-
-    Verifies the result is finite and independent of which `other` index is
-    held fixed (to 1e-9); dependence signals a labeling/convention bug.
-    """
-    out = w[:, 0, :, 0]
-    if not np.isfinite(out).all():
-        raise ConsistencyError(f"{factor}-block of {lam} is not finite")
-    for b in range(1, w.shape[1]):
-        # NaN compares False, so the test is written to fail on it
-        if not np.max(np.abs(w[:, b, :, b] - out)) <= 1e-9:
-            raise ConsistencyError(
-                f"{factor}-block of {lam} depends on the fixed {other} index"
-            )
-    return out
 
 
 def extract_irrep(schur: SchurUnitary, lam: Partition, u: np.ndarray) -> np.ndarray:
     """q_lambda(U), read off the conjugated lambda block at a fixed path index."""
-    w = _block_conjugate(schur, lam, lambda x: apply_tensor_power(u, schur.n, x))
-    return _read_factor(w, lam, "q", "p")
+    return _read_factor(schur, lam, u=u)
 
 
 def extract_perm_irrep(schur: SchurUnitary, lam: Partition, s: Permutation) -> np.ndarray:
     """p_lambda(s), read off the conjugated lambda block at a fixed GZ index."""
-    w = _block_conjugate(schur, lam, lambda x: apply_perm(s, schur.d, x))
-    return _read_factor(w.transpose(1, 0, 3, 2), lam, "p", "q")
+    return _read_factor(schur, lam, s=s)
 
 
 def schur_polynomial(lam: Partition, x) -> complex:
@@ -343,34 +369,10 @@ def offdiag_block_mass(schur: SchurUnitary, w: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def conjugate_by_schur(
-    schur: SchurUnitary, u: np.ndarray | None = None, s: Permutation | None = None
-) -> np.ndarray:
-    """W = U_Sch (U^{tensor n} P(s)) U_Sch^dag, with either factor optional.
-
-    The right factor is applied axis by axis to the transposed Schur matrix,
-    a view: the first pass that writes a new array (apply_perm, the complex
-    cast of apply_tensor_power, or the cascade's own contiguous copy) reads
-    it in place, so no transposed copy is made. The left product by U_Sch
-    runs through the cascade, bounded by the matrix's own size.
-    """
-    c = schur.matrix.T
-    if s is not None:
-        c = apply_perm(s, schur.d, c)
-    if u is not None:
-        c = apply_tensor_power(u, schur.n, c)
-    return schur_apply(c, schur.n, schur.d, max_dim=len(schur.matrix))
-
-
 def perm_block_residual(pblk: np.ndarray) -> float:
     """Max deviation of a conjugated-P(s) block (dq, dp, dq, dp) from
     I_q (x) p(s), with p(s) read off the first diagonal q slice."""
-    dq = pblk.shape[0]
-    ref = pblk[0, :, 0, :]
-    res = pblk.copy()
-    for q in range(dq):
-        res[q, :, q, :] -= ref
-    return float(np.max(np.abs(res)))
+    return _factor_residual(pblk.transpose(1, 0, 3, 2))[1]
 
 
 def kron_factor_residual(w: np.ndarray, dq: int, dp: int) -> float:
@@ -403,7 +405,6 @@ def verify_report(n: int, d: int, trials: int, seed: int) -> dict:
     max_factor = 0.0
     max_qconst = 0.0
     max_char = 0.0
-    lams = [lam for lam, *_ in schur.blocks]
     for _ in range(trials):
         u = haar_unitary(d, rng)
         s = random_permutation(n, rng)
@@ -412,14 +413,12 @@ def verify_report(n: int, d: int, trials: int, seed: int) -> dict:
         wp = conjugate_by_schur(schur, s=s)
         max_off = max(max_off, offdiag_block_mass(schur, wp))
         for lam, start, dq, dp in schur.blocks:
-            blk = w[start : start + dq * dp, start : start + dq * dp]
-            max_factor = max(max_factor, kron_factor_residual(blk, dq, dp))
-            pblk = wp[start : start + dq * dp, start : start + dq * dp].reshape(
-                dq, dp, dq, dp
-            )
+            b = slice(start, start + dq * dp)
+            max_factor = max(max_factor, kron_factor_residual(w[b, b], dq, dp))
+            pblk = wp[b, b].reshape(dq, dp, dq, dp)
             max_qconst = max(max_qconst, perm_block_residual(pblk))
         eig = np.linalg.eigvals(u)
-        for lam in lams:
+        for lam, *_ in schur.blocks:
             tr = np.trace(extract_irrep(schur, lam, u))
             ref = schur_polynomial(lam, eig)
             max_char = max(max_char, abs(tr - ref))

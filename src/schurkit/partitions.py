@@ -112,10 +112,10 @@ def enumerate_partitions(d: int, n: int) -> list[Partition]:
         if remaining == 0:
             out.append(Partition(prefix))
             return
-        if slots == 0:
-            return
         # Largest feasible first part keeps the output in descending lex order.
-        lo = -(-remaining // slots)  # ceil: must leave a nonincreasing tail
+        # ceil: must leave a nonincreasing tail, so the last slot takes all
+        # that remains and no call is left with parts but no slots
+        lo = -(-remaining // slots)
         for first in range(min(cap, remaining), lo - 1, -1):
             build(prefix + [first], remaining - first, first, slots - 1)
 

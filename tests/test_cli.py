@@ -33,6 +33,30 @@ def test_gz_and_paths(capsys):
     assert out[1].split("\t") == ["2", "2,1"]
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["partitions", "--d", "3", "--n", "4"], '["4","3,1","2,2","2,1,1"]'),
+        (["gz", "--lambda", "2,1", "--d", "2"], '["1,1/2","1,2/2"]'),
+        (["paths", "--lambda", "2,1"], '[{"rank":1,"path":"1,2"},{"rank":2,"path":"2,1"}]'),
+    ],
+)
+def test_listing_json(argv, text, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert run(argv + ["--json", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text().strip() == text
+
+
+def test_schur_show_rows(capsys):
+    assert run(["schur", "--n", "3", "--d", "2", "--show-rows", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [
+        "  lambda=3 gz=1,1,1 path=1,1",
+        "  lambda=3 gz=1,1,2 path=1,1",
+    ]
+
+
 def test_schur_identity(capsys):
     assert run(["schur", "--n", "1", "--d", "3"]) == 0
     out = capsys.readouterr().out
@@ -98,6 +122,23 @@ def test_negative_show_rows_is_an_argument_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--show-rows" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schur", "--n", "2", "--d", "2", "--max-dim", "0"],
+        ["schur", "--n", "2", "--d", "2", "--max-dim", "-1"],
+        ["circuit", "--n", "2", "--d", "2", "--max-dim", "0"],
+        ["circuit", "--n", "2", "--d", "2", "--decompose", "--max-dim", "-1"],
+    ],
+)
+def test_non_positive_max_dim_is_an_argument_error(argv, capsys):
+    # exited 3, "d^n = 4 exceeds the configured bound 0", a resource bound
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-dim must be >= 1" in captured.err
 
 
 def test_resource_bound_exit_code(capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_ssyt
+from schurkit import oracle
+from schurkit.cli import run
 from schurkit.oracle import (
     ConsistencyError,
     Permutation,
@@ -276,25 +278,84 @@ def test_haar_unitary_seeded_and_unitary():
     assert np.max(np.abs(u1.conj().T @ u1 - np.eye(4))) < 1e-12
 
 
-@pytest.fixture
-def flipped_wigner_sign(monkeypatch):
-    """The reduced Wigner coefficient T((1), 2, (1), 0) at d = 2, negated."""
+def _changed_wigner_value(monkeypatch, key, change):
+    """Replace the reduced Wigner coefficient at `key` by change(value), with
+    the CG caches cleared on entry and exit."""
     from schurkit import clebsch_gordan
 
     value = clebsch_gordan._wigner_value
 
-    def flipped(*args):
+    def changed(*args):
         c = value(*args)
-        return -c if args == ((1,), 2, (1,), 0, 2) else c
+        return change(c) if args == key else c
 
     clebsch_gordan.cg_block.cache_clear()
     clebsch_gordan._entries.cache_clear()
-    monkeypatch.setattr(clebsch_gordan, "_wigner_value", flipped)
+    monkeypatch.setattr(clebsch_gordan, "_wigner_value", changed)
     try:
         yield
     finally:
         clebsch_gordan.cg_block.cache_clear()
         clebsch_gordan._entries.cache_clear()
+
+
+@pytest.fixture
+def flipped_wigner_sign(monkeypatch):
+    """The reduced Wigner coefficient T((1), 2, (1), 0) at d = 2, negated."""
+    yield from _changed_wigner_value(monkeypatch, ((1,), 2, (1,), 0, 2), lambda c: -c)
+
+
+@pytest.fixture
+def nan_wigner_coefficient(monkeypatch):
+    """The reduced Wigner coefficient T((2), 1, (2), 1) at d = 2, set to NaN."""
+    yield from _changed_wigner_value(monkeypatch, ((2,), 1, (2,), 1, 2), lambda c: np.nan)
+
+
+def test_verify_exits_4_on_a_nan_wigner_coefficient(nan_wigner_coefficient, capsys):
+    # exited 2 with "SVD did not converge", an argument error
+    assert run(["verify", "--n", "4", "--d", "2", "--trials", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+
+def test_verify_report_rejects_a_nan_off_the_blocks(monkeypatch):
+    # max(0.0, nan) is 0.0, so the report read max_off_mass 0.0 and ok: true
+    apply = oracle.schur_apply
+
+    def nan_off_block(x, *args, **kwargs):
+        out = apply(x, *args, **kwargs)
+        if out.shape[0] == out.shape[1]:  # the full conjugation, not a block's
+            out[0, -1] = np.nan  # a (3) row against a (2,1) column
+        return out
+
+    monkeypatch.setattr(oracle, "schur_apply", nan_off_block)
+    with pytest.raises(ConsistencyError, match="not finite"):
+        verify_report(3, 2, 2, 0)
+
+
+@pytest.mark.parametrize("factor", ["q", "p"])
+def test_extractors_compare_the_whole_block(monkeypatch, factor):
+    # Only the diagonal blocks of the held-fixed index were compared, so an
+    # entry between two different held-fixed indices went unread.
+    su = schur_unitary(3, 2)
+    lam = P(2, 1)
+    _, start, dq, dp = next(b for b in su.blocks if b[0] == lam)
+    # (q, p) = (0, 0) against (0, 1) for q, against (1, 0) for p
+    col = 1 if factor == "q" else dp
+    apply = oracle.schur_apply
+
+    def perturbed(x, *args, **kwargs):
+        out = apply(x, *args, **kwargs)
+        out[start, col] += 1e-6
+        return out
+
+    monkeypatch.setattr(oracle, "schur_apply", perturbed)
+    rng = np.random.default_rng(4)
+    with pytest.raises(ConsistencyError, match=f"{factor}-block of .* depends on"):
+        if factor == "q":
+            extract_irrep(su, lam, haar_unitary(2, rng))
+        else:
+            extract_perm_irrep(su, lam, transposition(3, 1, 2))
 
 
 @pytest.mark.parametrize("n", [4, 7])
