@@ -10,8 +10,9 @@ raises ConsistencyError there. W has q (x) p blocks only if C and S are the
 same labeled Schur transform, so one run referees both: a wrong coefficient,
 or a matrix that disagrees with the cascade, shows up as a residual of the one
 factor (x) I reader, which the extractors and verify share. Dense
-representation matrices are guarded by d^n <= DEFAULT_MAX_DIM (4096), the
-dense bound of schur, and raise its ResourceLimitError beyond it.
+representation matrices pass schur's own size check at DEFAULT_MAX_DIM
+(4096): n and d below 1 raise ValueError, and d^n above the bound raises
+its ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .bases import enumerate_gz, enumerate_paths, gz_to_ssyt
 from .partitions import Partition, dim_P
-from .schur import DEFAULT_MAX_DIM, ResourceLimitError, SchurUnitary, schur_apply
+from .schur import DEFAULT_MAX_DIM, SchurUnitary, _check_size, schur_apply
 
 
 class ConsistencyError(RuntimeError):
@@ -115,13 +116,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def _guard(n: int, d: int):
-    if d**n > DEFAULT_MAX_DIM:
-        raise ResourceLimitError(
-            f"d^n = {d**n} exceeds the configured bound {DEFAULT_MAX_DIM}"
-        )
-
-
 def _perm_dest(s: Permutation, d: int, n: int) -> np.ndarray:
     """dest[c] = row index of P(s)|c>: tensor factor k moves to slot s(k)."""
     idx = np.arange(d**n)
@@ -142,7 +136,7 @@ def _perm_dest(s: Permutation, d: int, n: int) -> np.ndarray:
 def perm_matrix(s: Permutation, d: int) -> np.ndarray:
     """P(s) on (C^d)^{tensor n}: |i_1..i_n> -> |i_{s^-1(1)}..i_{s^-1(n)}>."""
     n = s.n
-    _guard(n, d)
+    _check_size(n, d, DEFAULT_MAX_DIM)
     dest = _perm_dest(s, d, n)
     out = np.zeros((d**n, d**n))
     out[dest, np.arange(d**n)] = 1.0
@@ -163,7 +157,7 @@ def tensor_power(u: np.ndarray, n: int) -> np.ndarray:
     """Q(U) = U^{tensor n}, in the same basis order as perm_matrix."""
     u = np.asarray(u)
     d = u.shape[0]
-    _guard(n, d)
+    _check_size(n, d, DEFAULT_MAX_DIM)
     if u.shape != (d, d) or not unitarity_residual(u) <= 1e-10:  # NaN fails
         raise ValueError("input is not unitary to 1e-10")
     out = np.ones((1, 1), dtype=complex)
@@ -259,7 +253,7 @@ def young_symmetrizer(t: StandardTableauFilling, d: int) -> np.ndarray:
     """(dim P / n!) * (sum_col sgn(c) P(c)) * (sum_row P(r)); a projector
     whose support carries a copy of Q_lambda^d."""
     n = t.n
-    _guard(n, d)
+    _check_size(n, d, DEFAULT_MAX_DIM)
     dim = d**n
     cols = np.arange(dim)
     rsum = np.zeros((dim, dim))

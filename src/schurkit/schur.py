@@ -6,13 +6,13 @@ Columns are the computational basis (i_1, ..., i_n), big-endian base d.
 
 The cascade is carried per lambda sector: after k steps the state is a list
 of sector tensors aligned with enumerate_partitions(d, k), each with a GZ
-axis Q (dim Q_lambda), a path axis P (paths so far) and a rest axis R. In
-schur_apply, the one entry point for caller data (a state or a batch of
-columns, in either direction), R is the register still to be consumed,
-most significant qudit first, times the batch columns; in the dense build
-it is the columns consumed so far. Step k pairs each sector's GZ index
-with the next qudit and applies the CG block of lambda, whose row slice
-for each valid j (see cg_rows) lands in the sector lambda + e_j. The
+axis Q (dim Q_lambda), a path axis P (paths so far) and a rest axis R: the
+register still to be consumed, most significant qudit first, times the
+batch columns. schur_apply is the one driver of the cascade: it takes a
+state or a batch of columns, in either direction, and schur_unitary is
+schur_apply on panels of identity columns. Step k pairs each sector's GZ
+index with the next qudit and applies the CG block of lambda, whose row
+slice for each valid j (see cg_rows) lands in the sector lambda + e_j. The
 routing of each step is a plan (_step), built and checked once per (k, d):
 each route fixes its target, its row slice of the block and the slice of
 the target's path axis that lambda's paths fill. Visiting lambda in
@@ -38,9 +38,9 @@ order, multiplies it once, and each route takes its rows of the product
 into its slab. The inverse walks the same plans backwards: one gather per
 lambda copies its slab of each target into a contiguous operand (in the
 stacked order for a grouped block), and one product with the transposed
-block writes lambda's sector. The dense build keeps (Q, P, R), the "qpr"
-layout, so that its last step writes the matrix in row order; a dense
-block's route product is batched over P there.
+block writes lambda's sector. A batch's rows in Schur order are its
+sectors stored (Q, P, R), the "qpr" layout, with R the m columns; a state
+(m = 1) reads the same memory as "qrp".
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ from .partitions import (
 )
 
 DEFAULT_MAX_DIM = 4096
+# Identity columns per schur_apply call in schur_unitary.
+_PANEL = 256
 
 
 class ResourceLimitError(RuntimeError):
@@ -136,23 +138,10 @@ def _check_size(n: int, d: int, max_dim: int) -> int:
     return required
 
 
-def _attach_column_qudit(tensor: np.ndarray, d: int) -> np.ndarray:
-    """(Q, P, C) -> (Q*d, P, C*d): a fresh qudit axis, minor on both sides.
-
-    The operand of the dense build, where the column space grows with each
-    consumed qudit.
-    """
-    nq, np_, cols = tensor.shape
-    eye = np.eye(d)
-    return (tensor[:, None, :, :, None] * eye[None, :, None, None, :]).reshape(
-        nq * d, np_, cols * d
-    )
-
-
 # Memory order of a sector tensor's axes Q (GZ index), P (path index) and R
-# (the rest: remaining register times batch columns, or the dense build's
-# columns), as the permutation taking the stored axes to (Q, P, R). Each is
-# its own inverse.
+# (the rest: remaining register times batch columns), as the permutation
+# taking the stored axes to (Q, P, R); "qpr" is only a batch's row layout.
+# Each is its own inverse.
 _AXES = {"pqr": (1, 0, 2), "qrp": (0, 2, 1), "qpr": (0, 1, 2)}
 
 
@@ -185,12 +174,11 @@ def _along_q(tensor: np.ndarray, layout: str) -> np.ndarray:
     return _real(tensor)
 
 
-def _sectors(shapes, layout: str, dtype, out=None) -> list:
-    """Empty sector tensors of the given (Q, P, R) shapes, stored in
-    `layout` and cut in order from one flat buffer: `out` if given, which
-    they must fill exactly."""
+def _sectors(shapes, layout: str, out: np.ndarray) -> list:
+    """Sector tensors of the given (Q, P, R) shapes, stored in `layout` and
+    cut in order from the buffer `out`, which they must fill exactly."""
     sizes = [dq * dp * rest for dq, dp, rest in shapes]
-    flat = np.empty(sum(sizes), dtype) if out is None else out.reshape(-1)
+    flat = out.reshape(-1)
     if flat.size != sum(sizes):
         raise RuntimeError(f"sectors hold {sum(sizes)} entries, not {flat.size}")
     tensors = []
@@ -203,7 +191,7 @@ def _sectors(shapes, layout: str, dtype, out=None) -> list:
 
 def _relayout(state: list, old: str, new: str, out: np.ndarray) -> list:
     """The sector tensors stored in layout `new`, copied into `out`."""
-    moved = _sectors([_qpr(t, old).shape for t in state], new, state[0].dtype, out)
+    moved = _sectors([_qpr(t, old).shape for t in state], new, out)
     for src, dst in zip(state, moved):
         _qpr(dst, new)[...] = _qpr(src, old)
     return moved
@@ -257,37 +245,30 @@ def _step(k: int, d: int) -> _Step:
 
 
 def _forward_step(
-    state: list, k: int, d: int, layout: str, rest: int, operand=None, out=None, work=None
+    state: list, k: int, d: int, layout: str, rest: int, out: np.ndarray, work: list
 ) -> list:
     """Sectors with k boxes -> sectors with k + 1 boxes, (dim_Q, dim_P, rest).
 
-    A sector's operand is (Q*d, P, rest) in the same layout: by default the
-    next qudit of the register, a free reshape; `operand(tensor, d)` in the
-    dense build. Each route's rows land in the paths its target holds for
-    this predecessor. Every route of a dense block is its own product,
-    written straight into that slab. A weight-grouped block's operand is
-    gathered into the block's stacked order in work[0] and multiplied whole
-    into work[1] (new buffers if work is None), and each route takes its
-    rows of the product into its slab. The targets are cut from `out` if
-    given.
+    A sector's operand is (Q*d, P, rest) in the same layout, the next qudit
+    of the register taken by a free reshape. Each route's rows land in the
+    paths its target holds for this predecessor. Every route of a dense
+    block is its own product, written straight into that slab. A
+    weight-grouped block's operand is gathered into the block's stacked
+    order in work[0] and multiplied whole into work[1], and each route
+    takes its rows of the product into its slab. The targets are cut from
+    `out`.
     """
     step = _step(k, d)
     shapes = [(dq, dp, rest) for _, dq, dp in step.targets]
-    targets = _sectors(shapes, layout, state[0].dtype, out)
+    targets = _sectors(shapes, layout, out)
     p_lead = (slice(None),) * layout.index("p")  # the axes before P
     for (lam, dq, dp, routes), tensor in zip(step.sources, state):
         block = cg_block(lam, d)
-        if operand is None:
-            x = tensor.reshape(_stored((dq * d, dp, rest), layout))
-        else:
-            x = operand(tensor, d)
+        x = tensor.reshape(_stored((dq * d, dp, rest), layout))
         dense = block.dense
         if dense is None:
             x = _q_at(x, layout, 0)
-            if work is None:
-                y, product = np.empty(x.shape), np.empty(x.shape)
-            else:
-                y, product = (_real(w)[: x.size].reshape(x.shape) for w in work)
+            y, product = (_real(w)[: x.size].reshape(x.shape) for w in work)
             np.take(x, block.cols, axis=0, out=y, mode="clip")
             block.stacked_dot(y, product)
         else:
@@ -316,9 +297,8 @@ def _inverse_step(
     into the sector. The sectors are cut from `out`.
     """
     step = _step(k, d)
-    dtype = state[0].dtype
     shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
-    prev = _sectors(shapes, layout, dtype, out)
+    prev = _sectors(shapes, layout, out)
     q_lead = (slice(None),) * layout.index("q")  # the axes before Q
     p_lead = (slice(None),) * layout.index("p")  # the axes before P
     for (lam, dq, dp, routes), sector in zip(step.sources, prev):
@@ -340,16 +320,17 @@ def _inverse_step(
 
 
 def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitary:
-    """Build the dense Schur transform with labeled rows."""
+    """Build the dense Schur transform with labeled rows.
+
+    The matrix is schur_apply on the identity, _PANEL columns per call, so
+    the cascade's buffers hold one panel rather than the whole matrix.
+    """
     dim = _check_size(n, d, max_dim)
     steps = [_step(k, d) for k in range(n)]  # checked before the matrix exists
     matrix = np.empty((dim, dim))
-    state = [np.eye(d).reshape(d, 1, d)]
-    for k in range(1, n):
-        last = matrix if k == n - 1 else None
-        state = _forward_step(state, k, d, "qpr", d ** (k + 1), _attach_column_qudit, last)
-    if n == 1:
-        matrix[...] = state[0].reshape(d, d)
+    for a in range(0, dim, _PANEL):
+        w = min(_PANEL, dim - a)
+        matrix[:, a : a + w] = schur_apply(np.eye(dim, w, -a), n, d, max_dim=dim)
     blocks = []
     start = 0
     for lam, dq, dp in steps[-1].targets:
@@ -415,7 +396,7 @@ def schur_apply(
 
     if direction == "forward":
         layout = layouts[1]
-        state = _sectors([(d, 1, d * rests[1])], layout, dtype, x)
+        state = _sectors([(d, 1, d * rests[1])], layout, x)
         for k in range(1, n):
             if layout != layouts[k]:
                 state = _relayout(state, layout, layouts[k], spare())
@@ -425,7 +406,7 @@ def schur_apply(
             _relayout(state, layout, row_layout, spare())
         return buffers[0].reshape(shape)
     shapes = [(dq, dp, m) for _, dq, dp in _step(n - 1, d).targets]
-    state = _sectors(shapes, row_layout, dtype, x)
+    state = _sectors(shapes, row_layout, x)
     layout = row_layout
     for k in range(n - 1, 0, -1):
         if layout != layouts[k]:

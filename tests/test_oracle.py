@@ -86,6 +86,13 @@ def test_dense_oracle_bound_raises_resource_limit():
     ):
         with pytest.raises(ResourceLimitError, match="d\\^n = 8192 exceeds"):
             build()
+    # the bound is schur's own check, which also refuses n = 0
+    for build in (
+        lambda: perm_matrix(Permutation(()), d),
+        lambda: tensor_power(np.eye(d), 0),
+    ):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            build()
 
 
 def test_tensor_power_examples():

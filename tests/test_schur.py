@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -283,6 +284,23 @@ def test_boundary_size_build_and_apply():
     f = schur_apply(v, 6, 4)
     assert np.max(np.abs(f - su.matrix @ v)) < 1e-12
     assert np.max(np.abs(schur_apply(f, 6, 4, "inverse") - v)) < 1e-12
+
+
+def test_dense_matrix_bits_are_pinned_across_panels():
+    """SHA-256 of the matrix bytes, sign bits included, at sizes that take
+    several panels of identity columns; the last panel is partial at (7,3)
+    and (5,5). Like the CLI's pins, these depend on numpy and its BLAS."""
+    assert schur._PANEL < 3**7 and 3**7 % schur._PANEL and 5**5 % schur._PANEL
+    pins = {
+        (9, 2): "90e35455bc01a1c73248e8216a6a4d6beb8a9f03902ba0a717eb5a9ef28e9c78",
+        (7, 3): "3b4b014bfb944cb8bfe9bb19047dc838b26755539552336e031cb781cb2c6770",
+        (5, 5): "bd40ef05b62fc8ed8991b696d576fbdcbd02c73e510539cc7a418b2e6af2fd6e",
+        (6, 4): "a1f864a2ecfca4dfe371bcb02472c4cedb767050f5dcbfc28737b57b3e095ddb",
+        (12, 2): "9269ea4c24f24b1ab9a121200ae134cccae5500f430c7a78cb8fbcae837502b6",
+    }
+    for (n, d), digest in pins.items():
+        matrix = schur_unitary(n, d).matrix
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest, (n, d)
 
 
 def _check_matrix_free(n, d, seed):
