@@ -27,20 +27,25 @@ consuming the next qudit is a free reshape and each product writes its rows
 once, straight into a slab of a preallocated target:
 
 - "pqr", paths-major (P, Q, R): a route's product is batched over P.
-- "qrp", (Q, R, P): a route's product is batched over R; the inverse
-  applies the transposed block as one 2-D product per sector.
+- "qrp", (Q, R, P): a route's product is batched over R.
 
 A step uses "pqr" while the sources' path axes are narrower on average than
 the rest of the register, sum(dim_P) < sectors * d^(n-k-1) * m, and "qrp"
 from there on; the state changes layout by one transpose. A weight-grouped
 block (see CgBlock) instead gathers its operand into the block's stacked
 order, multiplies it once, and each route takes its rows of the product
-into its slab. The inverse walks the same plans backwards: one gather per
-lambda copies its slab of each target into a contiguous operand (in the
-stacked order for a grouped block), and one product with the transposed
-block writes lambda's sector. A batch's rows in Schur order are its
-sectors stored (Q, P, R), the "qpr" layout, with R the m columns; a state
-(m = 1) reads the same memory as "qrp".
+into its slab. The inverse walks the same plans backwards, and between
+steps it holds the next step's operands instead of sectors: one
+(Q*d, P, R) tensor per lambda, its rows in the block's row order. Each
+route's product with the transposed block is written once, straight into
+the rows of the predecessor's operand that the route fills (a grouped
+block scatters them from its stacked product). The inverse copies
+operands only at entry, from the input's sectors, and where the layout
+changes, from sectors written in the old one.
+
+A batch's rows in Schur order are its sectors stored (Q, P, R), the "qpr"
+layout, with R the m columns; a state (m = 1) reads the same memory as
+"qrp".
 """
 
 from __future__ import annotations
@@ -167,13 +172,6 @@ def _q_at(tensor: np.ndarray, layout: str, axis: int) -> np.ndarray:
     return _real(tensor if layout.index("q") == axis else tensor.swapaxes(0, 1))
 
 
-def _along_q(tensor: np.ndarray, layout: str) -> np.ndarray:
-    """Real view of a contiguous sector tensor as (P, Q, R) or (Q, rest)."""
-    if layout[0] == "q":
-        tensor = tensor.reshape(tensor.shape[0], -1)
-    return _real(tensor)
-
-
 def _sectors(shapes, layout: str, out: np.ndarray) -> list:
     """Sector tensors of the given (Q, P, R) shapes, stored in `layout` and
     cut in order from the buffer `out`, which they must fill exactly."""
@@ -202,6 +200,7 @@ class _Step(NamedTuple):
 
     sources: tuple  # (lambda, dim_Q, dim_P, routes) per lambda with k boxes
     targets: tuple  # (lambda, dim_Q, dim_P) per lambda with k + 1 boxes
+    incoming: tuple  # the routes into each target, (source, rows, paths)
     paths: int  # sum of dim_P over the sources
 
     def layout(self, rest: int) -> str:
@@ -220,19 +219,23 @@ def _step(k: int, d: int) -> _Step:
     slice of cg_block(lambda, d) and paths the slice of t's path axis that
     lambda's paths fill. A target stacks its predecessors in canonical
     order, so walking the sources in order fills each path axis in rank
-    order. Raises RuntimeError unless every target's path axis is filled
-    exactly.
+    order. incoming lists the same routes by target, as (s, rows, paths)
+    with s the source's index, in path order. Raises RuntimeError unless
+    every target's path axis is filled exactly.
     """
     lams = enumerate_partitions(d, k + 1)
     index = {lam: t for t, lam in enumerate(lams)}
     cursors = [0] * len(lams)
+    incoming = [[] for _ in lams]
     sources = []
-    for lam in enumerate_partitions(d, k):
+    for s, lam in enumerate(enumerate_partitions(d, k)):
         dp = dim_P(lam)
         routes = []
         for _, nu, rows in cg_rows(lam, d):
             t = index[nu]
-            routes.append((t, rows, slice(cursors[t], cursors[t] + dp)))
+            paths = slice(cursors[t], cursors[t] + dp)
+            routes.append((t, rows, paths))
+            incoming[t].append((s, rows, paths))
             cursors[t] += dp
         sources.append((lam, dim_Q(lam, d), dp, tuple(routes)))
     targets = tuple((lam, dim_Q(lam, d), dim_P(lam)) for lam in lams)
@@ -241,7 +244,12 @@ def _step(k: int, d: int) -> _Step:
             raise RuntimeError(
                 f"step {k}: routes cover {cursor} of the {width} paths of sector {t}"
             )
-    return _Step(tuple(sources), targets, sum(dp for _, _, dp, _ in sources))
+    return _Step(
+        tuple(sources),
+        targets,
+        tuple(map(tuple, incoming)),
+        sum(dp for _, _, dp, _ in sources),
+    )
 
 
 def _forward_step(
@@ -283,40 +291,75 @@ def _forward_step(
     return targets
 
 
-def _inverse_step(
-    state: list, k: int, d: int, layout: str, rest: int, out: np.ndarray, work: list
-) -> list:
-    """Sectors with k + 1 boxes -> sectors with k boxes, (dim_Q, dim_P, d*rest).
+def _operands(step: _Step, d: int, layout: str, rest: int, out: np.ndarray) -> list:
+    """The operands of a step's sources, (dim_Q * d, dim_P, rest) stored in
+    `layout` and cut from `out`."""
+    return _sectors([(dq * d, dp, rest) for _, dq, dp, _ in step.sources], layout, out)
 
-    For each lambda, one gather copies its slab of every target into a
-    contiguous (Q*d, P, rest) operand, and one product with the transposed
-    block writes lambda's sector, the freed qudit leading the register. A
-    dense block's operand is cut from work[0] in the step's layout; a
-    weight-grouped block's is cut from work[0] with Q first, its rows in
-    the block's stacked order, and its product from work[1] is scattered
-    into the sector. The sectors are cut from `out`.
+
+def _gather(
+    state: list, old: str, step: _Step, d: int, layout: str, rest: int, out: np.ndarray
+) -> list:
+    """The operands of step's sources, cut from `out`, copied from the
+    sectors of its targets stored in `old`: each route's rows from the
+    paths its target holds for this source."""
+    ops = _operands(step, d, layout, rest, out)
+    for (_, _, _, routes), op in zip(step.sources, ops):
+        for t, rows, paths in routes:
+            _qpr(op, layout)[rows] = _qpr(state[t], old)[:, paths]
+    return ops
+
+
+def _inverse_step(
+    ops: list, k: int, d: int, layout: str, rest: int, out: np.ndarray, work: list
+) -> list:
+    """Operands of step k -> operands of step k - 1, or sectors with k boxes.
+
+    ops holds the (Q*d, P, rest) operand of each lambda with k boxes, its
+    rows in the block's row order. The product with lambda's transposed
+    block is lambda's sector (Q, P, d*rest), the freed qudit leading the
+    register, and each route mu -> lambda of step k - 1 reads one path
+    slice of that sector as its rows of mu's operand. While step k - 1
+    keeps the layout, each path slice is written once, straight into
+    those rows; at k = 1, and where step k - 1 changes layout, the
+    sectors are written whole (and _gather moves them on). A dense block
+    multiplies each path slice as its own product. A weight-grouped
+    block's operand is copied into the block's stacked order in work[0]
+    and multiplied whole into work[1], and each path slice of the product
+    is scattered into its destination. The result is cut from `out`.
     """
     step = _step(k, d)
-    shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
-    prev = _sectors(shapes, layout, out)
+    prev = _step(k - 1, d) if k > 1 else None
+    if prev is not None and prev.layout(d * rest) == layout:
+        dests = _operands(prev, d, layout, d * rest, out)
+        incoming = prev.incoming
+    else:
+        shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
+        dests = _sectors(shapes, layout, out)
+        incoming = [((s, slice(None), slice(None)),) for s in range(len(dests))]
     q_lead = (slice(None),) * layout.index("q")  # the axes before Q
     p_lead = (slice(None),) * layout.index("p")  # the axes before P
-    for (lam, dq, dp, routes), sector in zip(step.sources, prev):
+    q_first = layout[0] == "q"
+    for (lam, dq, _, _), x, routes in zip(step.sources, ops, incoming):
         block = cg_block(lam, d)
-        x = sector.reshape(_stored((dq * d, dp, rest), layout))
-        if block.dense is None:
-            shape = _q_at(x, layout, 0).shape
-            y, product = (_real(w)[: _real(x).size].reshape(shape) for w in work)
-            for t, rows, paths in routes:
-                y[block.row_at[rows]] = _q_at(state[t][p_lead + (paths,)], layout, 0)
-            block.stacked_dot(y, product, transpose=True)
-            _q_at(x, layout, 0)[block.cols] = product
-        else:
-            y = work[0][: x.size].reshape(x.shape)
-            for t, rows, paths in routes:
-                y[q_lead + (rows,)] = state[t][p_lead + (paths,)]
-            np.matmul(block.dense.T, _along_q(y, layout), out=_along_q(x, layout))
-    return prev
+        dense = block.dense
+        if dense is None:
+            x = x if q_first else x.swapaxes(0, 1)
+            y, product = (w[: x.size].reshape(x.shape) for w in work)
+            y[block.row_at] = x
+            block.stacked_dot(_real(y), _real(product), transpose=True)
+            x = product if q_first else product.swapaxes(0, 1)
+        for u, rows, paths in routes:
+            # the destination rows, their Q axis times d and their rest over d
+            dest = dests[u][q_lead + (rows,)]
+            width = dest.shape[len(p_lead)]
+            slab = dest.reshape(_stored((dq * d, width, rest), layout))
+            at = x[p_lead + (paths,)]
+            if dense is None:
+                _q_at(slab, layout, 0)[block.cols] = _q_at(at, layout, 0)
+            else:
+                np.matmul(dense.T, _q_at(at, layout, 1), out=_q_at(slab, layout, 1))
+    return dests
 
 
 def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitary:
@@ -405,14 +448,14 @@ def schur_apply(
         if layout != row_layout:
             _relayout(state, layout, row_layout, spare())
         return buffers[0].reshape(shape)
-    shapes = [(dq, dp, m) for _, dq, dp in _step(n - 1, d).targets]
-    state = _sectors(shapes, row_layout, x)
-    layout = row_layout
+    step = _step(n - 1, d)
+    state = _sectors([(dq, dp, m) for _, dq, dp in step.targets], row_layout, x)
+    state = _gather(state, row_layout, step, d, layouts[n - 1], m, spare())
     for k in range(n - 1, 0, -1):
-        if layout != layouts[k]:
-            state = _relayout(state, layout, layouts[k], spare())
-            layout = layouts[k]
-        state = _inverse_step(state, k, d, layout, rests[k], spare(), work)
+        state = _inverse_step(state, k, d, layouts[k], rests[k], spare(), work)
+        if k > 1 and layouts[k - 1] != layouts[k]:
+            step, layout = _step(k - 1, d), layouts[k - 1]
+            state = _gather(state, layouts[k], step, d, layout, rests[k - 1], spare())
     return buffers[0].reshape(shape)
 
 

@@ -303,6 +303,34 @@ def test_dense_matrix_bits_are_pinned_across_panels():
         assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest, (n, d)
 
 
+def test_inverse_bits_are_pinned():
+    """SHA-256 of schur_apply(y, n, d, "inverse") on seeded complex input:
+    states at (12,2) and (16,2), whose inverse changes layout mid-cascade,
+    and 3-column batches at (7,3) and (6,4), whose blocks include
+    weight-grouped ones. Like the other pins, these depend on numpy and
+    its BLAS."""
+    pins = {
+        (12, 2, None): "748ea7b0609c6bea334ae2ce8101d2d0a260a53de9f2add7e168b38f7b3176c2",
+        (16, 2, None): "4190f098c9016dba681e7a858e9ff44520ab2d7f1c6bc86ebbbeb25a6dc66b96",
+        (7, 3, 3): "043c8158608a6bc031639e9b973dd0302495f2ef94a676c69b81253a0e65a573",
+        (6, 4, 3): "567136b2f1fe3fe2e9e5c8879ced4304b9eed21e0088ceda53d0e3ef0662369d",
+    }
+    for (n, d, cols), digest in pins.items():
+        m = cols or 1
+        layouts = {schur._step(k, d).layout(d ** (n - k - 1) * m) for k in range(1, n)}
+        grouped = any(
+            schur.cg_block(lam, d).dense is None
+            for k in range(1, n)
+            for lam, *_ in schur._step(k, d).sources
+        )
+        assert layouts == {"pqr", "qrp"} and grouped == (d > 2), (n, d)
+        rng = np.random.default_rng(1000 * n + d)
+        shape = (d**n,) if cols is None else (d**n, cols)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = schur_apply(y, n, d, "inverse", max_dim=d**n)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (n, d)
+
+
 def _check_matrix_free(n, d, seed):
     """Round trip, and U = diag(x) scaling each Schur row (lambda, q, p) by
     the monomial x^wt(q), with wt read off the tableau of q."""
