@@ -150,8 +150,10 @@ def two_level_decompose(u: np.ndarray, tol: float = 1e-10) -> GateList:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("input must be square")
     size = u.shape[0]
-    # Written so that a NaN residual fails the check too.
-    if not np.max(np.abs(u.conj().T @ u - np.eye(size))) < tol:
+    # Non-finite entries are rejected before the product, which would warn on
+    # them; the comparison is written so that a NaN residual fails too.
+    finite = np.isfinite(u).all()
+    if not finite or not np.max(np.abs(u.conj().T @ u - np.eye(size))) < tol:
         raise ValueError(f"input is not unitary to {tol}")
     v = u.copy()
     pairs: list[tuple[int, int]] = []

@@ -158,7 +158,9 @@ def tensor_power(u: np.ndarray, n: int) -> np.ndarray:
     u = np.asarray(u)
     d = u.shape[0]
     _check_size(n, d, DEFAULT_MAX_DIM)
-    if u.shape != (d, d) or not unitarity_residual(u) <= 1e-10:  # NaN fails
+    # checked before the residual, whose product warns on a non-finite u
+    finite = u.shape == (d, d) and np.isfinite(u).all()
+    if not finite or not unitarity_residual(u) <= 1e-10:
         raise ValueError("input is not unitary to 1e-10")
     out = np.ones((1, 1), dtype=complex)
     for _ in range(n):

@@ -31,17 +31,18 @@ once, straight into a slab of a preallocated target:
 
 A step uses "pqr" while the sources' path axes are narrower on average than
 the rest of the register, sum(dim_P) < sectors * d^(n-k-1) * m, and "qrp"
-from there on; the state changes layout by one transpose. A weight-grouped
-block (see CgBlock) instead gathers its operand into the block's stacked
-order, multiplies it once, and each route takes its rows of the product
-into its slab. The inverse walks the same plans backwards, and between
-steps it holds the next step's operands instead of sectors: one
-(Q*d, P, R) tensor per lambda, its rows in the block's row order. Each
-route's product with the transposed block is written once, straight into
-the rows of the predecessor's operand that the route fills (a grouped
-block scatters them from its stacked product). The inverse copies
-operands only at entry, from the input's sectors, and where the layout
-changes, from sectors written in the old one.
+from there on; the state changes layout by one transpose. One routine,
+_cg_step, runs a step in either direction over the same plan: it multiplies
+each lambda's operand by its block, or by the transposed block for the
+inverse, and writes the product in pieces read off the routes, each once
+and straight into its destination. The inverse walks the plans backwards,
+and between steps it holds the next step's operands instead of sectors:
+one (Q*d, P, R) tensor per lambda, its rows in the block's row order, so
+each route into lambda writes its paths of the product into the rows of
+the predecessor's operand that it fills. A weight-grouped block (see
+CgBlock) multiplies its operand once, in the block's stacked order. The
+inverse copies operands only at entry, from the input's sectors, and where
+the layout changes, from sectors written in the old one.
 
 A batch's rows in Schur order are its sectors stored (Q, P, R), the "qpr"
 layout, with R the m columns; a state (m = 1) reads the same memory as
@@ -252,114 +253,97 @@ def _step(k: int, d: int) -> _Step:
     )
 
 
-def _forward_step(
-    state: list, k: int, d: int, layout: str, rest: int, out: np.ndarray, work: list
-) -> list:
-    """Sectors with k boxes -> sectors with k + 1 boxes, (dim_Q, dim_P, rest).
-
-    A sector's operand is (Q*d, P, rest) in the same layout, the next qudit
-    of the register taken by a free reshape. Each route's rows land in the
-    paths its target holds for this predecessor. Every route of a dense
-    block is its own product, written straight into that slab. A
-    weight-grouped block's operand is gathered into the block's stacked
-    order in work[0] and multiplied whole into work[1], and each route
-    takes its rows of the product into its slab. The targets are cut from
-    `out`.
-    """
-    step = _step(k, d)
-    shapes = [(dq, dp, rest) for _, dq, dp in step.targets]
-    targets = _sectors(shapes, layout, out)
-    p_lead = (slice(None),) * layout.index("p")  # the axes before P
-    for (lam, dq, dp, routes), tensor in zip(step.sources, state):
-        block = cg_block(lam, d)
-        x = tensor.reshape(_stored((dq * d, dp, rest), layout))
-        dense = block.dense
-        if dense is None:
-            x = _q_at(x, layout, 0)
-            y, product = (_real(w)[: x.size].reshape(x.shape) for w in work)
-            np.take(x, block.cols, axis=0, out=y, mode="clip")
-            block.stacked_dot(y, product)
-        else:
-            x = _q_at(x, layout, 1)
-        for t, rows, paths in routes:
-            slab = targets[t][p_lead + (paths,)]
-            if dense is None:
-                at = block.row_at[rows]
-                np.take(product, at, axis=0, out=_q_at(slab, layout, 0), mode="clip")
-            else:
-                np.matmul(dense[rows], x, out=_q_at(slab, layout, 1))
-    return targets
-
-
-def _operands(step: _Step, d: int, layout: str, rest: int, out: np.ndarray) -> list:
+def _operands(step: _Step, d: int, rest: int, out: np.ndarray) -> list:
     """The operands of a step's sources, (dim_Q * d, dim_P, rest) stored in
-    `layout` and cut from `out`."""
-    return _sectors([(dq * d, dp, rest) for _, dq, dp, _ in step.sources], layout, out)
+    the step's layout and cut from `out`."""
+    shapes = [(dq * d, dp, rest) for _, dq, dp, _ in step.sources]
+    return _sectors(shapes, step.layout(rest), out)
 
 
 def _gather(
-    state: list, old: str, step: _Step, d: int, layout: str, rest: int, out: np.ndarray
+    state: list, old: str, step: _Step, d: int, rest: int, out: np.ndarray
 ) -> list:
     """The operands of step's sources, cut from `out`, copied from the
     sectors of its targets stored in `old`: each route's rows from the
     paths its target holds for this source."""
-    ops = _operands(step, d, layout, rest, out)
+    ops = _operands(step, d, rest, out)
+    layout = step.layout(rest)
     for (_, _, _, routes), op in zip(step.sources, ops):
         for t, rows, paths in routes:
             _qpr(op, layout)[rows] = _qpr(state[t], old)[:, paths]
     return ops
 
 
-def _inverse_step(
-    ops: list, k: int, d: int, layout: str, rest: int, out: np.ndarray, work: list
+def _cg_step(
+    state: list, k: int, d: int, rest: int, out: np.ndarray, work: list, inverse: bool
 ) -> list:
-    """Operands of step k -> operands of step k - 1, or sectors with k boxes.
+    """The CG step of _step(k, d) from k to k + 1 boxes, or back if inverse.
 
-    ops holds the (Q*d, P, rest) operand of each lambda with k boxes, its
-    rows in the block's row order. The product with lambda's transposed
-    block is lambda's sector (Q, P, d*rest), the freed qudit leading the
-    register, and each route mu -> lambda of step k - 1 reads one path
-    slice of that sector as its rows of mu's operand. While step k - 1
-    keeps the layout, each path slice is written once, straight into
-    those rows; at k = 1, and where step k - 1 changes layout, the
-    sectors are written whole (and _gather moves them on). A dense block
-    multiplies each path slice as its own product. A weight-grouped
-    block's operand is copied into the block's stacked order in work[0]
-    and multiplied whole into work[1], and each path slice of the product
-    is scattered into its destination. The result is cut from `out`.
+    Each lambda with k boxes has an operand (Q*d, P, rest) stored in the
+    step's layout: forward, its sector (Q, P, d*rest) in state, the next
+    qudit taken by a free reshape; inverse, its tensor in state, rows in the
+    block's row order. The operand is multiplied by lambda's block (inverse:
+    its transpose) and the product is written in pieces, one per route,
+    straight into the result cut from `out`. Forward, each route of lambda
+    takes its rows of the product into the paths its target holds for
+    lambda. Inverse, the product is lambda's sector (Q, P, d*rest), the
+    freed qudit leading the register, and each route into lambda of
+    _step(k - 1, d) takes its paths of it into its rows of the
+    predecessor's operand; at k = 1, and where step k - 1 changes layout,
+    the sector is written whole (and _gather moves it on). A dense block
+    makes one product per piece. A weight-grouped block's operand is moved
+    into the block's stacked order in work[0] and multiplied whole into
+    work[1], and each piece moves its rows of that product.
     """
     step = _step(k, d)
-    prev = _step(k - 1, d) if k > 1 else None
-    if prev is not None and prev.layout(d * rest) == layout:
-        dests = _operands(prev, d, layout, d * rest, out)
-        incoming = prev.incoming
-    else:
-        shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
-        dests = _sectors(shapes, layout, out)
-        incoming = [((s, slice(None), slice(None)),) for s in range(len(dests))]
+    layout = step.layout(rest)
     q_lead = (slice(None),) * layout.index("q")  # the axes before Q
     p_lead = (slice(None),) * layout.index("p")  # the axes before P
-    q_first = layout[0] == "q"
-    for (lam, dq, _, _), x, routes in zip(step.sources, ops, incoming):
+    if not inverse:
+        shapes = [(dq, dp, rest) for _, dq, dp in step.targets]
+        result = _sectors(shapes, layout, out)
+        pieces = [routes for *_, routes in step.sources]
+    elif k > 1 and (prev := _step(k - 1, d)).layout(d * rest) == layout:
+        result = _operands(prev, d, d * rest, out)
+        pieces = prev.incoming
+    else:
+        shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
+        result = _sectors(shapes, layout, out)
+        pieces = [((s, slice(None), slice(None)),) for s in range(len(result))]
+    for (lam, dq, dp, _), x, routes in zip(step.sources, state, pieces):
         block = cg_block(lam, d)
+        if not inverse:  # the next qudit joins Q by a free reshape
+            x = x.reshape(_stored((dq * d, dp, rest), layout))
         dense = block.dense
         if dense is None:
-            x = x if q_first else x.swapaxes(0, 1)
+            x = x.swapaxes(0, 1) if q_lead else x
             y, product = (w[: x.size].reshape(x.shape) for w in work)
-            y[block.row_at] = x
-            block.stacked_dot(_real(y), _real(product), transpose=True)
-            x = product if q_first else product.swapaxes(0, 1)
-        for u, rows, paths in routes:
-            # the destination rows, their Q axis times d and their rest over d
-            dest = dests[u][q_lead + (rows,)]
-            width = dest.shape[len(p_lead)]
-            slab = dest.reshape(_stored((dq * d, width, rest), layout))
-            at = x[p_lead + (paths,)]
-            if dense is None:
-                _q_at(slab, layout, 0)[block.cols] = _q_at(at, layout, 0)
+            if inverse:
+                y[block.row_at] = x
             else:
-                np.matmul(dense.T, _q_at(at, layout, 1), out=_q_at(slab, layout, 1))
-    return dests
+                np.take(x, block.cols, axis=0, out=y, mode="clip")
+            block.stacked_dot(_real(y), _real(product), transpose=inverse)
+            x = product.swapaxes(0, 1) if q_lead else product
+        elif inverse:
+            dense = dense.T
+        axis = 1 if dense is not None else 0  # where Q sits in a product
+        operand = None if inverse else _q_at(x, layout, axis)
+        for t, rows, paths in routes:
+            if inverse:  # its rows of t, their Q axis times d, their rest over d
+                dest = result[t][q_lead + (rows,)]
+                width = dest.shape[len(p_lead)]
+                dest = dest.reshape(_stored((dq * d, width, rest), layout))
+                at = _q_at(x[p_lead + (paths,)], layout, axis)
+            else:
+                dest, at = result[t][p_lead + (paths,)], operand
+            dest = _q_at(dest, layout, axis)
+            if dense is not None:
+                np.matmul(dense if inverse else dense[rows], at, out=dest)
+            elif inverse:
+                dest[block.cols] = at
+            else:
+                np.take(at, block.row_at[rows], axis=0, out=dest, mode="clip")
+    return result
 
 
 def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitary:
@@ -429,7 +413,7 @@ def schur_apply(
     layouts = {k: _step(k, d).layout(rests[k]) for k in range(1, n)}
     row_layout = "qrp" if m == 1 else "qpr"  # its sectors lie in row order
     # Every pass reads the state from one buffer and writes the other; work
-    # holds gathered operands and whole-block products (see the steps).
+    # holds gathered operands and whole-block products (see _cg_step).
     buffers = [np.empty(dim * m, dtype) for _ in range(2)]
     work = [np.empty(dim * m, dtype) for _ in range(2)]
 
@@ -444,18 +428,18 @@ def schur_apply(
             if layout != layouts[k]:
                 state = _relayout(state, layout, layouts[k], spare())
                 layout = layouts[k]
-            state = _forward_step(state, k, d, layout, rests[k], out=spare(), work=work)
+            state = _cg_step(state, k, d, rests[k], spare(), work, inverse=False)
         if layout != row_layout:
             _relayout(state, layout, row_layout, spare())
         return buffers[0].reshape(shape)
     step = _step(n - 1, d)
     state = _sectors([(dq, dp, m) for _, dq, dp in step.targets], row_layout, x)
-    state = _gather(state, row_layout, step, d, layouts[n - 1], m, spare())
+    state = _gather(state, row_layout, step, d, m, spare())
     for k in range(n - 1, 0, -1):
-        state = _inverse_step(state, k, d, layouts[k], rests[k], spare(), work)
+        state = _cg_step(state, k, d, rests[k], spare(), work, inverse=True)
         if k > 1 and layouts[k - 1] != layouts[k]:
-            step, layout = _step(k - 1, d), layouts[k - 1]
-            state = _gather(state, layouts[k], step, d, layout, rests[k - 1], spare())
+            step = _step(k - 1, d)
+            state = _gather(state, layouts[k], step, d, rests[k - 1], spare())
     return buffers[0].reshape(shape)
 
 

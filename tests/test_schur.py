@@ -303,32 +303,49 @@ def test_dense_matrix_bits_are_pinned_across_panels():
         assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest, (n, d)
 
 
-def test_inverse_bits_are_pinned():
-    """SHA-256 of schur_apply(y, n, d, "inverse") on seeded complex input:
-    states at (12,2) and (16,2), whose inverse changes layout mid-cascade,
-    and 3-column batches at (7,3) and (6,4), whose blocks include
-    weight-grouped ones. Like the other pins, these depend on numpy and
-    its BLAS."""
+def test_apply_bits_are_pinned_both_directions():
+    """SHA-256 of schur_apply(y, n, d, direction) on seeded input: complex
+    states at (12,2) and (16,2), whose cascade changes layout mid-way,
+    complex 3-column batches at (7,3) and (6,4), whose blocks include
+    weight-grouped ones, and a real state at (16,2), which stays float64.
+    Like the other pins, these depend on numpy and its BLAS."""
     pins = {
-        (12, 2, None): "748ea7b0609c6bea334ae2ce8101d2d0a260a53de9f2add7e168b38f7b3176c2",
-        (16, 2, None): "4190f098c9016dba681e7a858e9ff44520ab2d7f1c6bc86ebbbeb25a6dc66b96",
-        (7, 3, 3): "043c8158608a6bc031639e9b973dd0302495f2ef94a676c69b81253a0e65a573",
-        (6, 4, 3): "567136b2f1fe3fe2e9e5c8879ced4304b9eed21e0088ceda53d0e3ef0662369d",
+        "forward": {
+            (12, 2, None, True): "2abdb42582cb77e027ebe12519b8b89cb93a65903d0483d9468c09f51a3060ad",
+            (16, 2, None, True): "c9cfe3dfff3efbc3818569296e9922671151426d8d5c6e493713b9534c8ce529",
+            (7, 3, 3, True): "a72e561840e9d54781671ccbdf713f8f1ab45c9eec49226fad2730a9b3ae2587",
+            (6, 4, 3, True): "eacd7f38584bff2845dde8522c125dd48c69105ab747780c772f5896389f2d7c",
+            (16, 2, None, False): "221b705190478f1652af295fd857879d3d0ae2564e314366faff0cb4c3cfe3eb",
+        },
+        "inverse": {
+            (12, 2, None, True): "748ea7b0609c6bea334ae2ce8101d2d0a260a53de9f2add7e168b38f7b3176c2",
+            (16, 2, None, True): "4190f098c9016dba681e7a858e9ff44520ab2d7f1c6bc86ebbbeb25a6dc66b96",
+            (7, 3, 3, True): "043c8158608a6bc031639e9b973dd0302495f2ef94a676c69b81253a0e65a573",
+            (6, 4, 3, True): "567136b2f1fe3fe2e9e5c8879ced4304b9eed21e0088ceda53d0e3ef0662369d",
+            (16, 2, None, False): "9d290473f7e75608b9a62583868ccd34572158ca166c18d6609d74712ced0918",
+        },
     }
-    for (n, d, cols), digest in pins.items():
-        m = cols or 1
-        layouts = {schur._step(k, d).layout(d ** (n - k - 1) * m) for k in range(1, n)}
-        grouped = any(
-            schur.cg_block(lam, d).dense is None
-            for k in range(1, n)
-            for lam, *_ in schur._step(k, d).sources
-        )
-        assert layouts == {"pqr", "qrp"} and grouped == (d > 2), (n, d)
-        rng = np.random.default_rng(1000 * n + d)
-        shape = (d**n,) if cols is None else (d**n, cols)
-        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out = schur_apply(y, n, d, "inverse", max_dim=d**n)
-        assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (n, d)
+    for direction, by_size in pins.items():
+        for (n, d, cols, is_complex), digest in by_size.items():
+            m = cols or 1
+            layouts = {
+                schur._step(k, d).layout(d ** (n - k - 1) * m) for k in range(1, n)
+            }
+            grouped = any(
+                schur.cg_block(lam, d).dense is None
+                for k in range(1, n)
+                for lam, *_ in schur._step(k, d).sources
+            )
+            assert layouts == {"pqr", "qrp"} and grouped == (d > 2), (n, d)
+            rng = np.random.default_rng(1000 * n + d)
+            shape = (d**n,) if cols is None else (d**n, cols)
+            y = rng.standard_normal(shape)
+            if is_complex:
+                y = y + 1j * rng.standard_normal(shape)
+            out = schur_apply(y, n, d, direction, max_dim=d**n)
+            assert out.dtype == (np.complex128 if is_complex else np.float64)
+            digest_now = hashlib.sha256(out.tobytes()).hexdigest()
+            assert digest_now == digest, (direction, n, d, cols, is_complex)
 
 
 def _check_matrix_free(n, d, seed):
