@@ -4,7 +4,10 @@ A GzPattern is a chain of interlacing partitions (q_d = lambda, ..., q_1)
 indexing a basis vector of Q_lambda^d; it is equivalent to a semistandard
 tableau. A YyPath is a chain (p_n = lambda, ..., p_1 = (1)) of single-box
 removals indexing a basis vector of P_lambda; it is equivalent to a standard
-tableau and to the box-addition record (j_1, ..., j_{n-1}).
+tableau and to the box-addition record (j_1, ..., j_{n-1}). Both are one
+chain type, branching down U_d > ... > U_1 or S_n > ... > S_1, and
+gz_to_ssyt fills any chain level by level: a pattern gives its semistandard
+tableau, a path its standard tableau.
 """
 
 from __future__ import annotations
@@ -22,10 +25,45 @@ from .partitions import (
 )
 
 
-class GzPattern:
-    """Chain (q_d = lambda, q_{d-1}, ..., q_1) with q_j interlacing q_{j+1}."""
+class _Chain:
+    """An immutable chain of partitions, top first. Equality needs the exact
+    type: a pattern never equals a path of the same partitions."""
 
     __slots__ = ("chain",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, chain: tuple):
+        """A chain already known to be valid for cls; no checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chain", chain)
+        return self
+
+    @property
+    def top(self) -> Partition:
+        """The irrep label lambda, the first partition of the chain."""
+        return self.chain[0]
+
+    def level(self, j: int) -> Partition:
+        """The partition at level j, 1-based from the bottom of the chain."""
+        return self.chain[len(self.chain) - j]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.chain == other.chain
+
+    def __hash__(self) -> int:
+        return hash(self.chain)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({[list(q.parts) for q in self.chain]})"
+
+
+class GzPattern(_Chain):
+    """Chain (q_d = lambda, q_{d-1}, ..., q_1) with q_j interlacing q_{j+1}."""
+
+    __slots__ = ()
 
     def __init__(self, chain):
         chain = tuple(chain)
@@ -41,43 +79,15 @@ class GzPattern:
                 raise ValueError(f"{lower} does not interlace {upper}")
         object.__setattr__(self, "chain", chain)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GzPattern is immutable")
-
-    @classmethod
-    def _trusted(cls, chain: tuple) -> GzPattern:
-        """A pattern from a chain already known to interlace; no checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "chain", chain)
-        return self
-
     @property
     def d(self) -> int:
         return len(self.chain)
 
-    @property
-    def top(self) -> Partition:
-        """The irrep label lambda = q_d."""
-        return self.chain[0]
 
-    def level(self, j: int) -> Partition:
-        """q_j for j in 1..d."""
-        return self.chain[self.d - j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GzPattern) and self.chain == other.chain
-
-    def __hash__(self) -> int:
-        return hash(self.chain)
-
-    def __repr__(self) -> str:
-        return f"GzPattern({[list(q.parts) for q in self.chain]})"
-
-
-class YyPath:
+class YyPath(_Chain):
     """Chain (p_n = lambda, ..., p_1 = (1)); each step removes one box."""
 
-    __slots__ = ("chain",)
+    __slots__ = ()
 
     def __init__(self, chain):
         chain = tuple(chain)
@@ -90,27 +100,9 @@ class YyPath:
                 raise ValueError(f"{lower} is not {upper} minus one box")
         object.__setattr__(self, "chain", chain)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("YyPath is immutable")
-
-    @classmethod
-    def _trusted(cls, chain: tuple) -> YyPath:
-        """A path from a chain already known to remove one box per step."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "chain", chain)
-        return self
-
     @property
     def n(self) -> int:
         return len(self.chain)
-
-    @property
-    def top(self) -> Partition:
-        return self.chain[0]
-
-    def level(self, k: int) -> Partition:
-        """p_k for k in 1..n."""
-        return self.chain[self.n - k]
 
     @property
     def box_record(self) -> tuple[int, ...]:
@@ -121,15 +113,6 @@ class YyPath:
             j = next(i for i in range(1, len(hi) + 1) if hi.part(i) != lo.part(i))
             js.append(j)
         return tuple(js)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, YyPath) and self.chain == other.chain
-
-    def __hash__(self) -> int:
-        return hash(self.chain)
-
-    def __repr__(self) -> str:
-        return f"YyPath({[list(p.parts) for p in self.chain]})"
 
 
 def path_from_record(js) -> YyPath:
@@ -211,12 +194,13 @@ def enumerate_paths(lam: Partition) -> tuple[YyPath, ...]:
     return tuple(YyPath._trusted(chain) for chain in chains)
 
 
-def gz_to_ssyt(p: GzPattern) -> list[list[int]]:
-    """Fill each box in q_j but not q_{j-1} with j; rows of the tableau."""
+def gz_to_ssyt(p: GzPattern | YyPath) -> list[list[int]]:
+    """Fill each box in level j but not level j - 1 with j; rows of the
+    tableau: a pattern's semistandard tableau, a path's standard one."""
     lam = p.top
     rows = [[0] * lam.part(r) for r in range(1, len(lam) + 1)]
     prev = Partition()
-    for j in range(1, p.d + 1):
+    for j in range(1, len(p.chain) + 1):
         q = p.level(j)
         for r in range(1, len(q) + 1):
             for c in range(prev.part(r), q.part(r)):

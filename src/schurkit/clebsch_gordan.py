@@ -262,10 +262,7 @@ class CgBlock:
 
         Each column pattern is formatted once, not once per qudit level.
         """
-        gzs = {
-            q: format_ssyt(gz_to_ssyt(q)) if q.top.size else ""
-            for q in enumerate_gz(self.lam, self.d)
-        }
+        gzs = {q: format_ssyt(gz_to_ssyt(q)) for q in enumerate_gz(self.lam, self.d)}
         return {
             "lambda": format_partition(self.lam),
             "d": self.d,

@@ -158,6 +158,11 @@ def _cmd_circuit(args) -> int:
     if args.max_dim < 1:
         raise ValueError(f"--max-dim must be >= 1, got {args.max_dim}")
     report = gate_count_report(args.n, args.d)
+    payload = dataclasses.asdict(report)  # field order is the JSON key order
+    if args.decompose:  # built before anything prints: over the bound prints nothing
+        su = schur_unitary(args.n, args.d, max_dim=args.max_dim)
+        gl = two_level_decompose(su.matrix.astype(complex), tol=1e-10)
+        payload["gate_list"] = gl.json_payload()
     print(f"{'step':>6}{'dim':>6}{'control_pairs':>16}{'rotation_classes':>18}")
     for st in report.steps:
         print(
@@ -168,15 +173,11 @@ def _cmd_circuit(args) -> int:
         f"totals: control_pairs={report.total_control_pairs} "
         f"rotation_classes={report.total_rotation_classes}"
     )
-    payload = dataclasses.asdict(report)  # field order is the JSON key order
     if args.decompose:
-        su = schur_unitary(args.n, args.d, max_dim=args.max_dim)
-        gl = two_level_decompose(su.matrix.astype(complex), tol=1e-10)
         print(
             f"two-level synthesis of U_Sch: {gl.rotation_count} rotations, "
             f"{len(gl.phases)} phases"
         )
-        payload["gate_list"] = gl.json_payload()
     if args.json:
         dump(payload, args.json)
     return 0

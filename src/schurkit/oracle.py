@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -39,7 +40,10 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        try:
+            images = tuple(map(index, images))
+        except TypeError:
+            raise ValueError(f"images must be integers, not {images!r}") from None
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         object.__setattr__(self, "images", images)
@@ -117,20 +121,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _perm_dest(s: Permutation, d: int, n: int) -> np.ndarray:
-    """dest[c] = row index of P(s)|c>: tensor factor k moves to slot s(k)."""
-    idx = np.arange(d**n)
-    digits = np.empty((d**n, n), dtype=np.int64)
-    rem = idx
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = rem % d
-        rem = rem // d
-    out_digits = np.empty_like(digits)
-    for k in range(1, n + 1):
-        out_digits[:, s(k) - 1] = digits[:, k - 1]
-    dest = np.zeros(d**n, dtype=np.int64)
-    for k in range(n):
-        dest = dest * d + out_digits[:, k]
-    return dest
+    """dest[c] = row index of P(s)|c>: tensor factor k moves to slot s(k),
+    so dest is the (d,)*n index tensor with axis s(k) moved to place k."""
+    return np.arange(d**n).reshape((d,) * n).transpose(np.subtract(s.images, 1)).ravel()
 
 
 def perm_matrix(s: Permutation, d: int) -> np.ndarray:
@@ -206,7 +199,10 @@ class StandardTableauFilling:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        try:
+            rows = tuple(tuple(map(index, row)) for row in self.rows)
+        except TypeError:
+            raise ValueError(f"entries must be integers, not {self.rows!r}") from None
         object.__setattr__(self, "rows", rows)
         if tuple(len(r) for r in rows) != self.shape.parts:
             raise ValueError("rows do not match shape")
@@ -226,17 +222,8 @@ class StandardTableauFilling:
 
 
 def standard_fillings(lam: Partition) -> list[StandardTableauFilling]:
-    """All standard tableaux of shape lambda (entry k = box added at step k)."""
-    out = []
-    for path in enumerate_paths(lam):
-        rows = [[0] * lam.part(r) for r in range(1, len(lam) + 1)]
-        for k in range(1, path.n + 1):
-            small = path.level(k - 1) if k > 1 else Partition()
-            big = path.level(k)
-            r = next(i for i in range(1, len(big) + 1) if big.part(i) != small.part(i))
-            rows[r - 1][big.part(r) - 1] = k
-        out.append(StandardTableauFilling(lam, tuple(tuple(r) for r in rows)))
-    return out
+    """All standard tableaux of shape lambda: each path's fill, in path order."""
+    return [StandardTableauFilling(lam, gz_to_ssyt(path)) for path in enumerate_paths(lam)]
 
 
 def _setwise_stabilizer(blocks, n: int):

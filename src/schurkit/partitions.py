@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import product
+from operator import index
 from typing import Iterator
 
 
@@ -17,13 +18,16 @@ class Partition:
     """A partition in normal form (trailing zeros stripped).
 
     Two partitions differing only by trailing zeros compare equal; equality
-    and hashing act on the normal form.
+    and hashing act on the normal form. Parts must be integers.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        try:
+            parts = tuple(map(index, parts))
+        except TypeError:
+            raise ValueError(f"parts must be integers, not {parts!r}") from None
         end = len(parts)
         while end and parts[end - 1] == 0:
             end -= 1
@@ -177,14 +181,10 @@ def remove_box(lam: Partition, j: int) -> Partition | None:
 
 
 def remove_box_set(lam: Partition) -> list[Partition]:
-    """lam - box: all single-box removals that stay a partition, canonical order."""
-    out = []
-    for j in range(1, len(lam) + 1):
-        new = list(lam.parts)
-        new[j - 1] -= 1
-        if j == len(lam.parts) or new[j - 1] >= new[j]:
-            out.append(Partition(new))
-    return canonical_sort(out)
+    """lam - box: all single-box removals that stay a partition, in
+    canonical order, which is the order of the removed box's row descending."""
+    removals = (remove_box(lam, j) for j in range(len(lam), 0, -1))
+    return [mu for mu in removals if mu is not None]
 
 
 @cache

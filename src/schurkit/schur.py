@@ -289,11 +289,12 @@ def _cg_step(
     lambda. Inverse, the product is lambda's sector (Q, P, d*rest), the
     freed qudit leading the register, and each route into lambda of
     _step(k - 1, d) takes its paths of it into its rows of the
-    predecessor's operand; at k = 1, and where step k - 1 changes layout,
-    the sector is written whole (and _gather moves it on). A dense block
-    makes one product per piece. A weight-grouped block's operand is moved
-    into the block's stacked order in work[0] and multiplied whole into
-    work[1], and each piece moves its rows of that product.
+    predecessor's operand (at k = 1, _step(0, d)'s one route takes it all);
+    where step k - 1 changes layout, the sector is written whole (and
+    _gather moves it on). A dense block makes one product per piece. A
+    weight-grouped block's operand is moved into the block's stacked order
+    in work[0] and multiplied whole into work[1], and each piece moves its
+    rows of that product.
     """
     step = _step(k, d)
     layout = step.layout(rest)
@@ -303,7 +304,7 @@ def _cg_step(
         shapes = [(dq, dp, rest) for _, dq, dp in step.targets]
         result = _sectors(shapes, layout, out)
         pieces = [routes for *_, routes in step.sources]
-    elif k > 1 and (prev := _step(k - 1, d)).layout(d * rest) == layout:
+    elif (prev := _step(k - 1, d)).layout(d * rest) == layout:
         result = _operands(prev, d, d * rest, out)
         pieces = prev.incoming
     else:

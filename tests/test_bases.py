@@ -43,6 +43,18 @@ def test_path_validation():
         YyPath((P(2),))  # does not end at (1)
 
 
+def test_a_pattern_never_equals_a_path_of_the_same_partitions():
+    chain = (P(2), P(1))
+    q, p = GzPattern(chain), YyPath(chain)
+    assert q != p and p != q and len({q, p}) == 2
+    assert q == GzPattern(chain) and p == YyPath(chain)
+    for label, name in ((q, "GzPattern"), (p, "YyPath")):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            label.chain = ()
+        assert label.chain == chain
+        assert repr(label) == f"{name}([[2], [1]])"
+
+
 def test_defining_irrep_patterns():
     for d in (1, 2, 4):
         pats = enumerate_gz(P(1), d)

@@ -210,6 +210,13 @@ def test_circuit_decompose(capsys):
     assert "two-level synthesis" in out
 
 
+def test_circuit_decompose_over_the_bound_prints_nothing(capsys):
+    assert run(["circuit", "--n", "13", "--d", "2", "--decompose"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "4096" in captured.err
+
+
 def test_dense_json_is_pinned(tmp_path, capsys):
     """SHA-256 of the JSON files written by `schur` and `circuit --decompose`."""
     pins = {

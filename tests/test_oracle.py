@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_ssyt
+from conftest import brute_ssyt, brute_syt
 from schurkit import oracle
+from schurkit.bases import enumerate_paths
 from schurkit.cli import run
 from schurkit.oracle import (
     ConsistencyError,
@@ -46,6 +47,44 @@ def test_permutation_basics():
     assert transposition(4, 2, 4) == Permutation([1, 4, 3, 2])
     with pytest.raises(ValueError):
         Permutation([1, 1, 2])
+
+
+def test_permutation_images_must_be_integers():
+    for images in ([1.5, 2], [1.0, 2.0], ["1", "2"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Permutation(images)
+    s = Permutation(np.array([2, 1]))
+    assert s == transposition(2, 1, 2) and all(type(v) is int for v in s.images)
+
+
+def _digit_table_dest(s, d, n):
+    """dest[c] = row index of P(s)|c>, built digit by digit: factor k of c
+    moves to slot s(k)."""
+    idx = np.arange(d**n)
+    digits = np.empty((d**n, n), dtype=np.int64)
+    rem = idx
+    for k in range(n - 1, -1, -1):
+        digits[:, k] = rem % d
+        rem = rem // d
+    out_digits = np.empty_like(digits)
+    for k in range(1, n + 1):
+        out_digits[:, s(k) - 1] = digits[:, k - 1]
+    dest = np.zeros(d**n, dtype=np.int64)
+    for k in range(n):
+        dest = dest * d + out_digits[:, k]
+    return dest
+
+
+def test_perm_dest_matches_the_digit_table():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        perms = [random_permutation(n, rng) for _ in range(4)]
+        if n >= 3:  # a 3-cycle is not its own inverse
+            perms.append(Permutation([2, 3, 1] + list(range(4, n + 1))))
+        for d in range(1, 4):
+            for s in perms:
+                want = _digit_table_dest(s, d, n)
+                assert np.array_equal(oracle._perm_dest(s, d, n), want)
 
 
 def test_perm_matrix_swaps_first_two_factors():
@@ -138,6 +177,24 @@ def test_standard_fillings_enumeration():
         StandardTableauFilling(P(2, 1), ((1, 3), (2, 4)))
     with pytest.raises(ValueError):
         StandardTableauFilling(P(2, 1), ((2, 1), (3,)))
+
+
+def test_standard_fillings_are_the_path_fills_in_path_order():
+    for n in range(1, 8):
+        for lam in enumerate_partitions(n, n):
+            fillings = standard_fillings(lam)
+            assert sorted(f.rows for f in fillings) == sorted(brute_syt(lam.parts))
+            for f, path in zip(fillings, enumerate_paths(lam), strict=True):
+                # entry k + 1 sits in the row that step k of the path grows
+                row_of = {v: r for r, row in enumerate(f.rows, 1) for v in row}
+                assert row_of[1] == 1
+                assert tuple(row_of[v] for v in range(2, n + 1)) == path.box_record
+
+
+def test_standard_filling_entries_must_be_integers():
+    with pytest.raises(ValueError, match="must be integers"):
+        StandardTableauFilling(P(2, 1), ((1, 2.5), (3,)))
+    assert StandardTableauFilling(P(1), ((np.int64(1),),)).rows == ((1,),)
 
 
 def test_young_symmetrizer_symmetric_and_singlet():

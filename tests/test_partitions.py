@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +41,15 @@ def test_invalid_partitions_rejected():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+
+
+def test_parts_must_be_integers():
+    for parts in ([2.7, 1.2], [2.0], ["3"], [1, 0.5], [None]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Partition(parts)
+    lam = Partition([np.int64(2), np.uint8(1), True])  # any integer type, as an int
+    assert lam == Partition([2, 1, 1]) and all(type(v) is int for v in lam.parts)
+    assert format_partition(lam) == "2,1,1"
 
 
 def test_text_round_trip():
@@ -135,6 +145,14 @@ def test_remove_box_cases():
     assert remove_box_set(Partition()) == []
     assert remove_box(Partition([2, 2]), 1) is None
     assert remove_box(Partition([2, 2]), 2) == Partition([2, 1])
+
+
+def test_remove_box_set_is_the_canonical_order_of_the_valid_removals():
+    for n in range(9):
+        for lam in enumerate_partitions(4, n):
+            removals = (remove_box(lam, j) for j in range(1, len(lam) + 1))
+            valid = [mu for mu in removals if mu is not None]
+            assert remove_box_set(lam) == canonical_sort(valid)
 
 
 def test_dim_P_examples_and_oracle():
