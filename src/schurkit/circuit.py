@@ -15,13 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .jsonform import Records, lists
-from .partitions import (
-    Partition,
-    add_box,
-    enumerate_partitions,
-    interlaces,
-    interlacing_set,
-)
+from .partitions import add_box, enumerate_partitions, interlacing_set
+from .wigner import _value
 
 
 @dataclass(frozen=True)
@@ -218,20 +213,15 @@ class GateCountReport:
 
 
 def _control_pairs(d: int, k: int) -> set[tuple]:
-    """All (mu, mu'') reduced-Wigner controls reachable at cascade step k."""
+    """The (mu, mu'') reduced-Wigner controls applied at cascade step k: those
+    with some T(mu, j, mu', j') nonzero, mu'' = mu' + e_j' (mu' at j' = 0)."""
     pairs = set()
     for mu in enumerate_partitions(d, k):
-        targets = [add_box(mu, j, d) for j in range(1, d + 1)]
-        targets = [t for t in targets if t is not None]
-        seen: set[Partition] = set()
         for mu_p in interlacing_set(mu, d):
             for j_p in range(d):
-                mupp = mu_p if j_p == 0 else add_box(mu_p, j_p, d - 1)
-                if mupp is None or mupp in seen:
-                    continue
-                if any(interlaces(mupp, t) for t in targets):
-                    seen.add(mupp)
-        pairs.update((mu.parts, m.parts) for m in seen)
+                if any(_value(mu.parts, j, mu_p.parts, j_p, d) for j in range(1, d + 1)):
+                    mupp = mu_p if j_p == 0 else add_box(mu_p, j_p)
+                    pairs.add((mu.parts, mupp.parts))
     return pairs
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bases import GzPattern, enumerate_gz, format_ssyt, gz_to_ssyt
 from .jsonform import lists, pairs
-from .partitions import Partition, dim_Q, format_partition, interlacing_set
+from .partitions import Partition, add_box, dim_Q, format_partition, interlacing_set
 from .wigner import _value as _wigner_value
 
 # Cost of gathering and scattering one row of the operand, in dense
@@ -48,12 +48,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _targets(lam_parts: tuple, d: int) -> tuple:
     """((j, parts of lambda + e_j), ...) over the valid j in 1..d."""
-    padded = lam_parts + (0,)
-    return tuple(
-        (j, padded[: j - 1] + (padded[j - 1] + 1,) + lam_parts[j:])
-        for j in range(1, min(len(lam_parts) + 1, d) + 1)
-        if j == 1 or padded[j - 2] > padded[j - 1]
-    )
+    lam = Partition(lam_parts)
+    nus = ((j, add_box(lam, j, d)) for j in range(1, min(len(lam_parts) + 1, d) + 1))
+    return tuple((j, nu.parts) for j, nu in nus if nu is not None)
 
 
 @lru_cache(maxsize=None)

@@ -187,17 +187,19 @@ def remove_box_set(lam: Partition) -> list[Partition]:
     return [mu for mu in removals if mu is not None]
 
 
+def _weyl_product(lam: Partition, d: int) -> int:
+    """prod_{1<=i<j<=d}(lambda_i - lambda_j + j - i), the numerator of dim_Q."""
+    rows = range(1, d + 1)
+    return math.prod(lam.part(i) - lam.part(j) + j - i for i in rows for j in rows if i < j)
+
+
 @cache
 def dim_P(lam: Partition) -> int:
     """Dimension of the S_n irrep P_lambda (count of standard tableaux)."""
     d = len(lam)
     if d == 0:
         return 1
-    n = lam.size
-    num = math.factorial(n)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            num *= lam.part(i) - lam.part(j) + j - i
+    num = math.factorial(lam.size) * _weyl_product(lam, d)
     den = 1
     for i in range(1, d + 1):
         den *= math.factorial(lam.part(i) + d - i)
@@ -219,10 +221,7 @@ def dim_Q(lam: Partition, d: int) -> int:
         raise ValueError("d must be >= 1")
     if len(lam) > d:
         return 0
-    num = 1
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            num *= lam.part(i) - lam.part(j) + j - i
+    num = _weyl_product(lam, d)
     den = 1
     for m in range(1, d):
         den *= math.factorial(m)

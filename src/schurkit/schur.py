@@ -95,7 +95,6 @@ class SchurUnitary:
     d: int
     matrix: np.ndarray
     row_labels: tuple  # (lambda, GzPattern, YyPath) per row
-    row_index: Mapping
     blocks: tuple  # (lambda, row_start, dim_Q, dim_P) in row order
 
     def block_rows(self, lam: Partition) -> np.ndarray:
@@ -365,9 +364,7 @@ def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitar
         blocks.append((lam, start, dq, dp))
         start += dq * dp
     matrix.setflags(write=False)
-    row_labels = tuple(schur_labels(n, d))
-    row_index = {label: r for r, label in enumerate(row_labels)}
-    return SchurUnitary(n, d, matrix, row_labels, row_index, tuple(blocks))
+    return SchurUnitary(n, d, matrix, tuple(schur_labels(n, d)), tuple(blocks))
 
 
 def schur_labels(n: int, d: int) -> list[tuple[Partition, GzPattern, YyPath]]:

@@ -11,18 +11,16 @@ Coefficients are evaluated from the exact shifted weights
     mu~_i  = mu_i  + d - i       (i = 1..d)
     mu~'_i = mu'_i + d - 1 - i   (i = 1..d-1)
 
-as square roots of exact integer ratios:
+as signed square roots of one exact integer ratio:
 
-    j' in 1..d-1:
-        num = prod_{s in [d-1], s != j'} (mu~_j - mu~'_s)
-            * prod_{t in [d],   t != j } (mu~'_j' - mu~_t + 1)
-        den = prod_{s in [d],   s != j } (mu~_j - mu~_s)
-            * prod_{t in [d-1], t != j'} (mu~'_j' - mu~'_t + 1)
-    j' = 0:
-        num = prod_{s in [d-1]} (mu~_j - mu~'_s)
-        den = prod_{s in [d], s != j} (mu~_j - mu~_s)
+    num = prod_{s in [d-1], s != j'} (mu~_j - mu~'_s)
+        * prod_{t in [d],   t != j } (mu~'_j' - mu~_t + 1)
+    den = prod_{s in [d],   s != j } (mu~_j - mu~_s)
+        * prod_{t in [d-1], t != j'} (mu~'_j' - mu~'_t + 1)
 
-with sign +1 for j' = 0 and, for j' >= 1, +1 iff j <= j'. The published
+with sign -1 iff 0 < j' < j. At j' = 0 there is no mu~'_{j'}: every factor
+naming it is left out, so the second products of num and den are empty and
+the first product of num runs over all of [d-1]. The published
 index scheme for these products is garbled (it indexes mu~' beyond its d-1
 components) and the printed sign rule assigns the n=2 singlet amplitudes to
 the triplet block; the convention above is fixed empirically by requiring
@@ -70,17 +68,13 @@ class ReducedWignerQuery:
             raise ValueError(f"mu'={self.mu_prime} needs more than d-1 rows")
 
 
-def _sign(j: int, j_prime: int) -> int:
-    if j_prime == 0:
-        return 1
-    return 1 if j <= j_prime else -1
-
-
 @lru_cache(maxsize=None)
 def _value(mu_parts: tuple, j: int, mup_parts: tuple, j_prime: int, d: int) -> float:
     """The coefficient from parts tuples; no Partition is built."""
-    if j < 1 or j_prime < 0:
+    if j < 1:
         raise ValueError("row index j is 1-based")
+    if j_prime < 0:
+        raise ValueError("j' is 0 (the trivial branch) or a 1-based row index")
     mu = mu_parts + (0,) * (d + 1 - len(mu_parts))  # mu_1..mu_{d+1}
     mup = mup_parts + (0,) * (d - len(mup_parts))  # mu'_1..mu'_d
     # lam = mu + e_j and mu'' = mu' + e_j' must be partitions in d and d-1 rows.
@@ -100,33 +94,29 @@ def _value(mu_parts: tuple, j: int, mup_parts: tuple, j_prime: int, d: int) -> f
     mt = [mu[i - 1] + d - i for i in range(1, d + 1)]
     mpt = [mup[i - 1] + d - 1 - i for i in range(1, d)]
 
-    num = 1
-    den = 1
-    if j_prime == 0:
-        for s in range(1, d):
-            num *= mt[j - 1] - mpt[s - 1]
-        for s in range(1, d + 1):
-            if s != j:
-                den *= mt[j - 1] - mt[s - 1]
-    else:
-        for s in range(1, d):
-            if s != j_prime:
-                num *= mt[j - 1] - mpt[s - 1]
+    x = mt[j - 1]
+    num = den = 1
+    for s in range(1, d):
+        if s != j_prime:
+            num *= x - mpt[s - 1]
+    for s in range(1, d + 1):
+        if s != j:
+            den *= x - mt[s - 1]
+    if j_prime:  # the mu~'_{j'} factors; j' = 0 has none
+        y = mpt[j_prime - 1]
         for t in range(1, d + 1):
             if t != j:
-                num *= mpt[j_prime - 1] - mt[t - 1] + 1
-        for s in range(1, d + 1):
-            if s != j:
-                den *= mt[j - 1] - mt[s - 1]
+                num *= y - mt[t - 1] + 1
         for t in range(1, d):
             if t != j_prime:
-                den *= mpt[j_prime - 1] - mpt[t - 1] + 1
+                den *= y - mpt[t - 1] + 1
     if den == 0 or num * den < 0:
         raise ArithmeticError(
             f"radicand {num}/{den} for (mu={_text(mu_parts)}, j={j}, "
             f"mu'={_text(mup_parts)}, j'={j_prime}, d={d})"
         )
-    return _sign(j, j_prime) * math.sqrt(num / den)
+    root = math.sqrt(num / den)
+    return -root if 0 < j_prime < j else root
 
 
 def _text(parts: tuple) -> str:

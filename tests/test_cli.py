@@ -278,7 +278,7 @@ def test_verify_exits_4_when_the_oracle_finds_an_inconsistency(monkeypatch, caps
     su = schurkit.schur.schur_unitary(3, 2)
     m = su.matrix.copy()
     m[[4, 7]] = m[[7, 4]]  # a (q,p) row swapped against a different q
-    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.row_index, su.blocks)
+    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.blocks)
     monkeypatch.setattr(schurkit.schur, "schur_unitary", lambda n, d, **kw: broken)
     assert run(["verify", "--n", "3", "--d", "2", "--trials", "2"]) == 4
     captured = capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_ssyt, brute_syt
 from schurkit import oracle
-from schurkit.bases import enumerate_paths
+from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
 from schurkit.cli import run
 from schurkit.oracle import (
     ConsistencyError,
@@ -30,8 +30,8 @@ from schurkit.oracle import (
     verify_report,
     young_symmetrizer,
 )
-from schurkit.partitions import Partition, dim_Q, enumerate_partitions
-from schurkit.schur import ResourceLimitError, SchurUnitary, schur_unitary
+from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
+from schurkit.schur import ResourceLimitError, SchurUnitary, schur_apply, schur_unitary
 
 
 def P(*parts):
@@ -290,7 +290,7 @@ def test_extract_irrep_detects_mislabeled_rows():
     m = su.matrix.copy()
     # swap a (q,p) row against a different q to break the block product form
     m[[4, 7]] = m[[7, 4]]
-    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.row_index, su.blocks)
+    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.blocks)
     rng = np.random.default_rng(1)
     with pytest.raises(ConsistencyError):
         extract_irrep(broken, P(2, 1), haar_unitary(2, rng))
@@ -313,7 +313,7 @@ def test_extract_perm_irrep_rejects_nan(n, d, lam):
     m = su.matrix.copy()
     row = next(r for r, label in enumerate(su.row_labels) if label[0] == lam)
     m[row, 0] = np.nan
-    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.row_index, su.blocks)
+    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.blocks)
     with pytest.raises(ConsistencyError):
         extract_perm_irrep(broken, lam, transposition(n, 1, 2))
 
@@ -422,6 +422,46 @@ def test_extractors_compare_the_whole_block(monkeypatch, factor):
             extract_perm_irrep(su, lam, transposition(3, 1, 2))
 
 
+def _worst_sector_mass_residual(n, d, seeds):
+    """Worst, over seeded probes, of |mass of sector lambda - expected| in the
+    forward of V^{tensor n} |x>, for a basis state x of content w and a Haar V.
+
+    Sector lambda is invariant under V^{tensor n} and under permuting the
+    qudits, so every x of content w puts the same mass in it: dim P_lambda
+    times the multiplicity K_{lambda,w} of weight w in Q_lambda, over the
+    (n choose w) states of that content. No matrix is built.
+    """
+    worst = 0.0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        digits = rng.integers(d, size=n)
+        w = np.bincount(digits, minlength=d).tolist()
+        x = np.zeros((d**n, 1), dtype=complex)
+        x[np.ravel_multi_index(tuple(digits), (d,) * n)] = 1
+        y = schur_apply(apply_tensor_power(haar_unitary(d, rng), n, x), n, d, max_dim=d**n)
+        states = math.factorial(n) // math.prod(math.factorial(c) for c in w)
+        start = 0
+        for lam in enumerate_partitions(d, n):
+            fills = (sum(gz_to_ssyt(q), []) for q in enumerate_gz(lam, d))
+            kostka = sum(all(f.count(i + 1) == c for i, c in enumerate(w)) for f in fills)
+            size = dim_Q(lam, d) * dim_P(lam)
+            mass = np.sum(np.abs(y[start : start + size]) ** 2)
+            worst = max(worst, abs(mass - dim_P(lam) * kostka / states))
+            start += size
+        assert start == d**n  # the sectors tile the output
+    return worst
+
+
+@pytest.mark.parametrize("n, d", [(16, 2), (9, 4), (7, 5)])
+def test_cascade_puts_the_weight_multiplicity_in_each_sector(n, d):
+    # above the dense bound: the cascade's sector masses against exact integers
+    assert _worst_sector_mass_residual(n, d, range(3)) < 1e-12
+
+
+def test_sector_masses_expose_a_flipped_wigner_sign(flipped_wigner_sign):
+    assert _worst_sector_mass_residual(16, 2, range(3)) > 1e-2
+
+
 @pytest.mark.parametrize("n", [4, 7])
 def test_verify_report_catches_a_flipped_wigner_sign(flipped_wigner_sign, n):
     with pytest.raises(ConsistencyError):
@@ -448,7 +488,7 @@ def test_conjugation_exposes_a_matrix_that_disagrees_with_the_cascade():
     su = schur_unitary(3, 2)
     m = su.matrix.copy()
     m[[0, 4]] = m[[4, 0]]  # a (3) row swapped against a (2,1) row
-    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.row_index, su.blocks)
+    broken = SchurUnitary(su.n, su.d, m, su.row_labels, su.blocks)
     rng = np.random.default_rng(3)
     w = conjugate_by_schur(broken, u=haar_unitary(2, rng), s=random_permutation(3, rng))
     assert offdiag_block_mass(broken, w) > 1e-10

@@ -99,8 +99,6 @@ def test_row_labels_cover_and_index():
         assert len(su.row_labels) == d**n
         assert len(set(su.row_labels)) == d**n
         assert schur_labels(n, d) == list(su.row_labels)
-        for label, r in su.row_index.items():
-            assert su.row_labels[r] == label
         total = 0
         for lam, start, dq, dp in su.blocks:
             assert start == total
@@ -118,7 +116,7 @@ def test_unitarity():
 def test_forward_on_basis_state():
     su = schur_unitary(2, 2)
     out = schur_apply(np.array([1, 0, 0, 0]), 2, 2)
-    r = su.row_index[(P(2), enumerate_gz(P(2), 2)[0], enumerate_paths(P(2))[0])]
+    r = su.row_labels.index((P(2), enumerate_gz(P(2), 2)[0], enumerate_paths(P(2))[0]))
     expect = np.zeros(4)
     expect[r] = 1
     assert np.allclose(out, expect, atol=1e-15)

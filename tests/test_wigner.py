@@ -12,7 +12,12 @@ from schurkit.partitions import (
     enumerate_partitions,
     interlacing_set,
 )
-from schurkit.wigner import ReducedWignerQuery, reduced_wigner, reduced_wigner_matrix
+from schurkit.wigner import (
+    ReducedWignerQuery,
+    _value,
+    reduced_wigner,
+    reduced_wigner_matrix,
+)
 
 
 def P(*parts):
@@ -100,6 +105,74 @@ def test_matrix_rejects_mu_beyond_d_rows():
         ReducedWignerQuery(P(3, 2, 1), 1, P(1), 0, 2)
     with pytest.raises(ValueError, match="d must be"):
         reduced_wigner_matrix(P(), P(), 0)
+
+
+def _two_branch_value(mu_parts, j, mup_parts, j_prime, d):
+    """The coefficient as first written: one product formula for j' = 0 and
+    one for j' >= 1, with the sign rule apart."""
+    mu = mu_parts + (0,) * (d + 1 - len(mu_parts))
+    mup = mup_parts + (0,) * (d - len(mup_parts))
+    if not 1 <= j <= d or (j > 1 and mu[j - 2] == mu[j - 1]):
+        return 0.0
+    if j_prime > d - 1 or (j_prime > 1 and mup[j_prime - 2] == mup[j_prime - 1]):
+        return 0.0
+    lam = list(mu)
+    lam[j - 1] += 1
+    mupp = list(mup)
+    if j_prime:
+        mupp[j_prime - 1] += 1
+    for i in range(d):
+        if not (mu[i] >= mup[i] >= mu[i + 1] and lam[i] >= mupp[i] >= lam[i + 1]):
+            return 0.0
+    mt = [mu[i - 1] + d - i for i in range(1, d + 1)]
+    mpt = [mup[i - 1] + d - 1 - i for i in range(1, d)]
+    num = 1
+    den = 1
+    if j_prime == 0:
+        for s in range(1, d):
+            num *= mt[j - 1] - mpt[s - 1]
+        for s in range(1, d + 1):
+            if s != j:
+                den *= mt[j - 1] - mt[s - 1]
+    else:
+        for s in range(1, d):
+            if s != j_prime:
+                num *= mt[j - 1] - mpt[s - 1]
+        for t in range(1, d + 1):
+            if t != j:
+                num *= mpt[j_prime - 1] - mt[t - 1] + 1
+        for s in range(1, d + 1):
+            if s != j:
+                den *= mt[j - 1] - mt[s - 1]
+        for t in range(1, d):
+            if t != j_prime:
+                den *= mpt[j_prime - 1] - mpt[t - 1] + 1
+    assert den != 0 and num * den >= 0
+    sign = 1 if j_prime == 0 or j <= j_prime else -1
+    return sign * math.sqrt(num / den)
+
+
+def test_one_formula_matches_the_two_branch_reference_bit_for_bit():
+    checked = 0
+    for d in range(1, 7):
+        for k in range(8):
+            for mu in enumerate_partitions(d, k):
+                for mup in interlacing_set(mu, d):
+                    for j in range(1, d + 1):
+                        for jp in range(d):
+                            args = (mu.parts, j, mup.parts, jp, d)
+                            ours, ref = _value(*args), _two_branch_value(*args)
+                            # == alone would let a sign flip of 0.0 through
+                            assert ours.hex() == ref.hex(), args
+                            checked += 1
+    assert checked == 19586
+
+
+def test_negative_j_prime_has_its_own_message():
+    with pytest.raises(ValueError, match="j' is 0"):
+        _value((1,), 1, (), -1, 2)
+    with pytest.raises(ValueError, match="1-based"):
+        _value((1,), 0, (), 0, 2)
 
 
 def test_memo_is_consistent():
