@@ -14,9 +14,9 @@ The transform commutes with the torus of U_d, so it only links labels of
 equal weight. A block is stored in one form, its weight sub-blocks stacked
 by size: the row and the column of each stacked position, and one (k, s, s)
 array per sub-block size, so that one batched real product serves all
-sub-blocks of a size. Both directions of the Schur cascade gather their
-operands straight into that order; the dense matrix and the labels are
-assembled only when asked for.
+sub-blocks of a size. Both directions of the Schur cascade hold their
+operands in that order between steps (see CgBlock.feeds); the dense matrix
+and the labels are assembled only when asked for.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ class CgBlock:
         real = x.reshape(len(x), -1).view(np.float64)
         src, dst = (self.rows, self.cols) if transpose else (self.cols, self.rows)
         product = np.empty_like(real)
-        self.stacked_dot(real[src], product, transpose)
+        self.stacked_dot(real[src][None], product[None], transpose)
         out = np.empty_like(real)
         out[dst] = product
         return out.view(x.dtype).reshape(x.shape)
@@ -244,15 +244,39 @@ class CgBlock:
     def stacked_dot(self, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
         """The sub-blocks' products, one batched product per size.
 
-        x and out are contiguous real arrays of shape (size, ...) in the
-        stacked order: row a of x is operand row cols[a] and row a of out is
-        product row rows[a] (the other way round when transposed).
+        x and out are real arrays of shape (batch, size, rest), contiguous
+        over their last two axes, in the stacked order: row a of x[b] is
+        operand row cols[a] and row a of out[b] is product row rows[a] (the
+        other way round when transposed). np.matmul broadcasts over batch.
         """
-        x, out = x.reshape(len(x), -1), out.reshape(len(out), -1)
+        batch, _, rest = x.shape
         for at, blocks in self._spans():
             k, s, _ = blocks.shape
             blocks = blocks.transpose(0, 2, 1) if transpose else blocks
-            np.matmul(blocks, x[at].reshape(k, s, -1), out=out[at].reshape(k, s, -1))
+            shape = (batch, k, s, rest)
+            np.matmul(blocks, x[:, at].reshape(shape), out=out[:, at].reshape(shape))
+
+    @cached_property
+    def feeds(self) -> tuple:
+        """Where the next blocks read the product, per (j, nu, rows) of
+        cg_rows: None if both blocks are dense, else the position of each
+        stacked column (p, i) of cg_block(nu, d) among the product's stacked
+        rows times the d levels of the next qudit, that is row rows.start + p
+        at level i - 1. Raises RuntimeError, naming the cascade step |lambda|
+        and lambda, unless together they hit each position once.
+        """
+        d, feeds, hits = self.d, [], []
+        for _, nu, rows in cg_rows(self.lam, d):
+            nxt = cg_block(nu, d)
+            q, i = np.divmod(nxt.cols, d)
+            hits.append(_frozen(self.row_at.take(rows.start + q, mode="clip") * d + i))
+            feeds.append(None if self.dense is not None and nxt.dense is not None else hits[-1])
+        if not np.array_equal(np.sort(np.concatenate(hits)), np.arange(d * self.size)):
+            raise RuntimeError(
+                f"step {self.lam.size}: the blocks after lambda = "
+                f"{format_partition(self.lam)} read its product other than once"
+            )
+        return tuple(feeds)
 
     def json_payload(self) -> dict:
         """Schema: lambda, d, rows, cols, matrix as [re, im] pairs (array form).

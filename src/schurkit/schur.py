@@ -35,14 +35,15 @@ from there on; the state changes layout by one transpose. One routine,
 _cg_step, runs a step in either direction over the same plan: it multiplies
 each lambda's operand by its block, or by the transposed block for the
 inverse, and writes the product in pieces read off the routes, each once
-and straight into its destination. The inverse walks the plans backwards,
-and between steps it holds the next step's operands instead of sectors:
-one (Q*d, P, R) tensor per lambda, its rows in the block's row order, so
-each route into lambda writes its paths of the product into the rows of
-the predecessor's operand that it fills. A weight-grouped block (see
-CgBlock) multiplies its operand once, in the block's stacked order. The
-inverse copies operands only at entry, from the input's sectors, and where
-the layout changes, from sectors written in the old one.
+and straight into its destination. Between steps both directions hold the
+next step's operands, one (Q*d, P, R) tensor per lambda in its block's
+stacked order (see CgBlock): forward the columns' order, inverse the rows';
+a dense block's is the natural order. Each route writes its piece into the
+positions it fills through one composed index (CgBlock.feeds), so a
+weight-grouped block multiplies its operand where it lies, batched over P
+in "pqr". The inverse walks the plans backwards. Beyond the steps' own
+writes, each direction moves the whole state only at entry, at exit and
+where the layout changes.
 
 A batch's rows in Schur order are its sectors stored (Q, P, R), the "qpr"
 layout, with R the m columns; a state (m = 1) reads the same memory as
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -161,15 +163,10 @@ def _qpr(tensor: np.ndarray, layout: str) -> np.ndarray:
     return tensor.transpose(_AXES[layout])
 
 
-def _real(a: np.ndarray) -> np.ndarray:
-    """The float64 view of a: two floats per complex entry on the last axis."""
-    return a.view(np.float64) if a.dtype == np.complex128 else a
-
-
-def _q_at(tensor: np.ndarray, layout: str, axis: int) -> np.ndarray:
-    """Real view of a sector tensor or slab with its Q axis at `axis`,
-    0 or 1 (Q is stored first or second)."""
-    return _real(tensor if layout.index("q") == axis else tensor.swapaxes(0, 1))
+def _real_q1(tensor: np.ndarray, layout: str) -> np.ndarray:
+    """The float64 view, two floats per complex entry on the last axis, of
+    a sector tensor, operand or slab with its Q axis moved to axis 1."""
+    return (tensor if layout[1] == "q" else tensor.swapaxes(0, 1)).view(np.float64)
 
 
 def _sectors(shapes, layout: str, out: np.ndarray) -> list:
@@ -200,7 +197,7 @@ class _Step(NamedTuple):
 
     sources: tuple  # (lambda, dim_Q, dim_P, routes) per lambda with k boxes
     targets: tuple  # (lambda, dim_Q, dim_P) per lambda with k + 1 boxes
-    incoming: tuple  # the routes into each target, (source, rows, paths)
+    incoming: tuple  # the routes into each target, (source, rows, paths, r)
     paths: int  # sum of dim_P over the sources
 
     def layout(self, rest: int) -> str:
@@ -219,9 +216,10 @@ def _step(k: int, d: int) -> _Step:
     slice of cg_block(lambda, d) and paths the slice of t's path axis that
     lambda's paths fill. A target stacks its predecessors in canonical
     order, so walking the sources in order fills each path axis in rank
-    order. incoming lists the same routes by target, as (s, rows, paths)
-    with s the source's index, in path order. Raises RuntimeError unless
-    every target's path axis is filled exactly.
+    order. incoming lists the same routes by target, as (s, rows, paths, r)
+    with s the source's index and r the route's index among its routes, in
+    path order. Raises RuntimeError unless every target's path axis is
+    filled exactly.
     """
     lams = enumerate_partitions(d, k + 1)
     index = {lam: t for t, lam in enumerate(lams)}
@@ -234,8 +232,8 @@ def _step(k: int, d: int) -> _Step:
         for _, nu, rows in cg_rows(lam, d):
             t = index[nu]
             paths = slice(cursors[t], cursors[t] + dp)
+            incoming[t].append((s, rows, paths, len(routes)))
             routes.append((t, rows, paths))
-            incoming[t].append((s, rows, paths))
             cursors[t] += dp
         sources.append((lam, dim_Q(lam, d), dp, tuple(routes)))
     targets = tuple((lam, dim_Q(lam, d), dim_P(lam)) for lam in lams)
@@ -252,97 +250,107 @@ def _step(k: int, d: int) -> _Step:
     )
 
 
-def _operands(step: _Step, d: int, rest: int, out: np.ndarray) -> list:
-    """The operands of a step's sources, (dim_Q * d, dim_P, rest) stored in
-    the step's layout and cut from `out`."""
-    shapes = [(dq * d, dp, rest) for _, dq, dp, _ in step.sources]
-    return _sectors(shapes, step.layout(rest), out)
-
-
-def _gather(
-    state: list, old: str, step: _Step, d: int, rest: int, out: np.ndarray
-) -> list:
-    """The operands of step's sources, cut from `out`, copied from the
-    sectors of its targets stored in `old`: each route's rows from the
-    paths its target holds for this source."""
-    ops = _operands(step, d, rest, out)
+def _gather(state: list, old: str, step: _Step, blocks, d: int, rest: int, out) -> list:
+    """The operands of step's sources, cut from `out` with their rows in
+    the blocks' stacked order, copied from the sectors of its targets
+    stored in `old`: each route's rows from the paths its target holds for
+    this source."""
     layout = step.layout(rest)
-    for (_, _, _, routes), op in zip(step.sources, ops):
+    ops = _sectors([(dq * d, dp, rest) for _, dq, dp, _ in step.sources], layout, out)
+    for (_, _, _, routes), op, block in zip(step.sources, ops, blocks):
         for t, rows, paths in routes:
-            _qpr(op, layout)[rows] = _qpr(state[t], old)[:, paths]
+            at = rows if block.dense is not None else block.row_at[rows]
+            _qpr(op, layout)[at] = _qpr(state[t], old)[:, paths]
     return ops
 
 
 def _cg_step(
-    state: list, k: int, d: int, rest: int, out: np.ndarray, work: list, inverse: bool
+    state: list, k: int, d: int, rest: int, out, product, blocks: list, inverse: bool
 ) -> list:
     """The CG step of _step(k, d) from k to k + 1 boxes, or back if inverse.
 
-    Each lambda with k boxes has an operand (Q*d, P, rest) stored in the
-    step's layout: forward, its sector (Q, P, d*rest) in state, the next
-    qudit taken by a free reshape; inverse, its tensor in state, rows in the
-    block's row order. The operand is multiplied by lambda's block (inverse:
-    its transpose) and the product is written in pieces, one per route,
-    straight into the result cut from `out`. Forward, each route of lambda
-    takes its rows of the product into the paths its target holds for
-    lambda. Inverse, the product is lambda's sector (Q, P, d*rest), the
-    freed qudit leading the register, and each route into lambda of
-    _step(k - 1, d) takes its paths of it into its rows of the
-    predecessor's operand (at k = 1, _step(0, d)'s one route takes it all);
-    where step k - 1 changes layout, the sector is written whole (and
-    _gather moves it on). A dense block makes one product per piece. A
-    weight-grouped block's operand is moved into the block's stacked order
-    in work[0] and multiplied whole into work[1], and each piece moves its
-    rows of that product.
+    blocks[k] holds the step's blocks; the cascade ends at step
+    len(blocks) - 1 forward and at step 1 inverse. Between steps both
+    directions hold each lambda's operand (Q*d, P, rest), stored in the
+    step's layout, in its block's stacked order: forward the columns', a
+    free reshape of the tensor (Q, P, d*rest) in state; inverse the rows'.
+    The operand is multiplied by the block (inverse: its transpose) and the
+    product written in pieces, one per route, each once into the result cut
+    from `out`: forward, each route's rows into the paths its target holds
+    for lambda, in the order of the target's next operand (at the end, of
+    its sector); inverse, each route's paths of lambda's sector
+    (Q, P, d*rest) into its rows of the predecessor's operand, or at the end
+    or a layout change the sector whole (_gather moves it on). A piece from
+    a dense block to a dense block or the end is one product in place; else
+    the product is made in `product` (whole if grouped, per piece if dense)
+    and the piece moves by one index: the predecessor's CgBlock.feeds, or at
+    the end the block's own order.
     """
     step = _step(k, d)
     layout = step.layout(rest)
     q_lead = (slice(None),) * layout.index("q")  # the axes before Q
     p_lead = (slice(None),) * layout.index("p")  # the axes before P
+    sectors = k == 1 if inverse else k == len(blocks) - 1  # the result in natural order
     if not inverse:
-        shapes = [(dq, dp, rest) for _, dq, dp in step.targets]
-        result = _sectors(shapes, layout, out)
+        result = _sectors([(dq, dp, rest) for _, dq, dp in step.targets], layout, out)
         pieces = [routes for *_, routes in step.sources]
-    elif (prev := _step(k - 1, d)).layout(d * rest) == layout:
-        result = _operands(prev, d, d * rest, out)
-        pieces = prev.incoming
+    elif not sectors and (prev := _step(k - 1, d)).layout(d * rest) == layout:
+        shapes = [(dq * d, dp, d * rest) for _, dq, dp, _ in prev.sources]
+        result = _sectors(shapes, layout, out)
+        pieces, prior = prev.incoming, blocks[k - 1]
     else:
+        sectors = True
         shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
         result = _sectors(shapes, layout, out)
-        pieces = [((s, slice(None), slice(None)),) for s in range(len(result))]
-    for (lam, dq, dp, _), x, routes in zip(step.sources, state, pieces):
-        block = cg_block(lam, d)
+        pieces = [((s, slice(None), slice(None), None),) for s in range(len(result))]
+    for (_, dq, dp, _), x, block, routes in zip(step.sources, state, blocks[k], pieces):
         if not inverse:  # the next qudit joins Q by a free reshape
             x = x.reshape(_stored((dq * d, dp, rest), layout))
         dense = block.dense
-        if dense is None:
-            x = x.swapaxes(0, 1) if q_lead else x
-            y, product = (w[: x.size].reshape(x.shape) for w in work)
-            if inverse:
-                y[block.row_at] = x
-            else:
-                np.take(x, block.cols, axis=0, out=y, mode="clip")
-            block.stacked_dot(_real(y), _real(product), transpose=inverse)
-            x = product.swapaxes(0, 1) if q_lead else product
+        y = None if product is None else product[: x.size].reshape(x.shape)
+        if dense is None:  # the whole product, stacked, batched over P in "pqr"
+            shape = (dp if q_lead else 1, dq * d, -1)
+            block.stacked_dot(*(a.view(np.float64).reshape(shape) for a in (x, y)), inverse)
         elif inverse:
             dense = dense.T
-        axis = 1 if dense is not None else 0  # where Q sits in a product
-        operand = None if inverse else _q_at(x, layout, axis)
-        for t, rows, paths in routes:
-            if inverse:  # its rows of t, their Q axis times d, their rest over d
-                dest = result[t][q_lead + (rows,)]
+        if not sectors:
+            feeds = [prior[s].feeds[r] for s, _, _, r in routes] if inverse else block.feeds
+        elif dense is None:
+            own = block.cols if inverse else block.row_at
+            feeds = [own[route[1]] for route in routes]
+        else:
+            feeds = repeat(None)
+        if inverse:
+            for (s, rows, paths, _), feed in zip(routes, feeds):
+                dest, at = result[s], _real_q1(x[p_lead + (paths,)], layout)
                 width = dest.shape[len(p_lead)]
-                dest = dest.reshape(_stored((dq * d, width, rest), layout))
-                at = _q_at(x[p_lead + (paths,)], layout, axis)
-            else:
-                dest, at = result[t][p_lead + (paths,)], operand
-            dest = _q_at(dest, layout, axis)
+                if feed is None:  # its rows of the predecessor's operand, in order
+                    dest = dest[q_lead + (rows,)]
+                    dest = dest.reshape(_stored((dq * d, width, rest), layout))
+                    np.matmul(dense, at, out=_real_q1(dest, layout))
+                    continue
+                piece = y[p_lead + (paths,)]
+                if dense is not None:
+                    np.matmul(dense, at, out=_real_q1(piece, layout))
+                height = dest.shape[len(q_lead)] * d  # its rows times the freed qudit
+                dest = dest.reshape(_stored((height, width, rest), layout))
+                dest[q_lead + (feed,)] = piece
+            continue
+        operand = _real_q1(x, layout)
+        for (t, rows, paths), feed in zip(routes, feeds):
+            dest = result[t][p_lead + (paths,)]
+            if feed is None:  # the target's rows, in order
+                np.matmul(dense[rows], operand, out=_real_q1(dest, layout))
+                continue
             if dense is not None:
-                np.matmul(dense if inverse else dense[rows], at, out=dest)
-            elif inverse:
-                dest[block.cols] = at
-            else:
-                np.take(at, block.row_at[rows], axis=0, out=dest, mode="clip")
+                np.matmul(dense[rows], operand, out=_real_q1(y[q_lead + (rows,)], layout))
+            f = 1 if sectors else d  # the next qudit joins the target's rows
+            dest = dest.reshape(_stored((len(feed), dp, rest // f), layout))
+            src = y.reshape(_stored((dq * d * f, dp, rest // f), layout))
+            if dest.flags.c_contiguous:
+                np.take(src, feed, axis=len(q_lead), out=dest, mode="clip")
+            else:  # np.take would copy a strided `out` in and back
+                dest[...] = np.take(src, feed, axis=len(q_lead), mode="clip")
     return result
 
 
@@ -408,12 +416,17 @@ def schur_apply(
     if n == 1:
         return x.reshape(shape).copy()
     rests = [d ** (n - k - 1) * m for k in range(n)]  # the rest after step k
-    layouts = {k: _step(k, d).layout(rests[k]) for k in range(1, n)}
+    steps = [_step(k, d) for k in range(n)]
+    layouts = {k: steps[k].layout(rests[k]) for k in range(1, n)}
     row_layout = "qrp" if m == 1 else "qpr"  # its sectors lie in row order
-    # Every pass reads the state from one buffer and writes the other; work
-    # holds gathered operands and whole-block products (see _cg_step).
+    blocks = [None] + [[cg_block(src[0], d) for src in step.sources] for step in steps[1:]]
+    for block in (block for step in blocks[1:-1] for block in step):
+        block.feeds  # built and checked before any buffer
+    grouped = any(block.dense is None for step in blocks[1:] for block in step)
+    # Every pass reads the state from one buffer and writes the other;
+    # product holds whole-block products where some block is grouped.
     buffers = [np.empty(dim * m, dtype) for _ in range(2)]
-    work = [np.empty(dim * m, dtype) for _ in range(2)]
+    product = np.empty(dim * m, dtype) if grouped else None
 
     def spare() -> np.ndarray:
         buffers.reverse()
@@ -421,23 +434,25 @@ def schur_apply(
 
     if direction == "forward":
         layout = layouts[1]
-        state = _sectors([(d, 1, d * rests[1])], layout, x)
+        state = _sectors([(d * d, 1, rests[1])], layout, x)  # the operand of (1)
+        if (first := blocks[1][0]).dense is None:  # into its block's stacked order
+            into, axis = spare().reshape(state[0].shape), layout.index("q")
+            state = [np.take(state[0], first.cols, axis=axis, out=into, mode="clip")]
         for k in range(1, n):
             if layout != layouts[k]:
                 state = _relayout(state, layout, layouts[k], spare())
                 layout = layouts[k]
-            state = _cg_step(state, k, d, rests[k], spare(), work, inverse=False)
+            state = _cg_step(state, k, d, rests[k], spare(), product, blocks, inverse=False)
         if layout != row_layout:
             _relayout(state, layout, row_layout, spare())
         return buffers[0].reshape(shape)
-    step = _step(n - 1, d)
-    state = _sectors([(dq, dp, m) for _, dq, dp in step.targets], row_layout, x)
-    state = _gather(state, row_layout, step, d, m, spare())
+    state = _sectors([(dq, dp, m) for _, dq, dp in steps[-1].targets], row_layout, x)
+    state = _gather(state, row_layout, steps[-1], blocks[-1], d, m, spare())
     for k in range(n - 1, 0, -1):
-        state = _cg_step(state, k, d, rests[k], spare(), work, inverse=True)
+        state = _cg_step(state, k, d, rests[k], spare(), product, blocks, inverse=True)
         if k > 1 and layouts[k - 1] != layouts[k]:
-            step = _step(k - 1, d)
-            state = _gather(state, layouts[k], step, d, rests[k - 1], spare())
+            step, rest = steps[k - 1], rests[k - 1]
+            state = _gather(state, layouts[k], step, blocks[k - 1], d, rest, spare())
     return buffers[0].reshape(shape)
 
 

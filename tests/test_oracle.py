@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_ssyt, brute_syt
-from schurkit import oracle
+from schurkit import clebsch_gordan, oracle
 from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
 from schurkit.cli import run
 from schurkit.oracle import (
@@ -460,6 +460,20 @@ def test_cascade_puts_the_weight_multiplicity_in_each_sector(n, d):
 
 def test_sector_masses_expose_a_flipped_wigner_sign(flipped_wigner_sign):
     assert _worst_sector_mass_residual(16, 2, range(3)) > 1e-2
+
+
+@pytest.fixture
+def flipped_grouped_wigner_sign(monkeypatch):
+    """T((2,1), 1, (2,1), 0) at d = 4, negated: it enters the weight-grouped
+    block of (2,1), which the cascade multiplies in its stacked order."""
+    yield from _changed_wigner_value(monkeypatch, ((2, 1), 1, (2, 1), 0, 4), lambda c: -c)
+
+
+def test_sector_masses_expose_a_flipped_sign_in_a_grouped_block(flipped_grouped_wigner_sign):
+    # the composed indices are dropped with the cg_block cache, so the
+    # rebuilt blocks reach every step
+    assert clebsch_gordan.cg_block(P(2, 1), 4).dense is None
+    assert _worst_sector_mass_residual(9, 4, range(3)) > 1e-2
 
 
 @pytest.mark.parametrize("n", [4, 7])

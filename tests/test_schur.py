@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from schurkit import schur
+from schurkit import clebsch_gordan, schur
 from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
 from schurkit.oracle import extract_perm_irrep, standard_fillings, transposition
 from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
@@ -244,6 +245,43 @@ def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
         schur._step.cache_clear()
 
 
+def test_cascade_rejects_a_wrong_composed_index(monkeypatch):
+    """A weight-grouped step moves each piece through one composed index
+    (CgBlock.feeds) with np.take(mode="clip"), which would clip a bad
+    entry silently. One stacked column of the grouped block of (3) at
+    d = 4 is repeated, so the index from (2) into it is not a permutation:
+    schur_apply must raise naming the step and lambda before it cuts any
+    buffer into sectors."""
+    n, d = 5, 4
+    v = np.random.default_rng(26).standard_normal(d**n)
+    schur_apply(v, n, d)
+    real = clebsch_gordan.cg_block
+    assert real(P(3), d).dense is None
+
+    def corrupted(lam, dd):
+        block = real(lam, dd)
+        if (lam, dd) != (P(3), d):
+            return block
+        cols = block.cols.copy()
+        cols[-1] = cols[0]
+        return dataclasses.replace(block, cols=cols)
+
+    cut = []
+    sectors = schur._sectors
+    real.cache_clear()
+    monkeypatch.setattr(clebsch_gordan, "cg_block", corrupted)
+    monkeypatch.setattr(schur, "_sectors", lambda *args: cut.append(args) or sectors(*args))
+    try:
+        for direction in ("forward", "inverse"):
+            with pytest.raises(RuntimeError, match="step 2: the blocks after lambda = 2 "):
+                schur_apply(v, n, d, direction)
+        assert cut == []
+    finally:
+        monkeypatch.undo()
+        real.cache_clear()
+    assert np.max(np.abs(schur_apply(schur_apply(v, n, d), n, d, "inverse") - v)) < 1e-12
+
+
 def test_schur_apply_batches_match_matrix():
     rng = np.random.default_rng(22)
     su = schur_unitary(3, 3)
@@ -344,6 +382,31 @@ def test_apply_bits_are_pinned_both_directions():
             assert out.dtype == (np.complex128 if is_complex else np.float64)
             digest_now = hashlib.sha256(out.tobytes()).hexdigest()
             assert digest_now == digest, (direction, n, d, cols, is_complex)
+
+
+def test_qudit_apply_bits_are_pinned():
+    """SHA-256 of schur_apply on seeded complex states at (9,4) and (6,6),
+    both directions: each runs weight-grouped blocks in both layouts, so
+    these pin the grouped steps' batched products and composed indices.
+    (7,5) is left out: its bits depend on the BLAS thread count."""
+    pins = {
+        (9, 4, "forward"): "981a8f82c2489b2879222406b2e001421ad77218fb98594102a250dae52ea25e",
+        (9, 4, "inverse"): "55bfccc92ef2df5cb73e722f5812703b4ca882f990896350204bf5dabea663b0",
+        (6, 6, "forward"): "67bc304b865a496baf877c8b2a34ad79ea0075ae7d895e47b03340ecf886eb8e",
+        (6, 6, "inverse"): "d8fbdaf9ebd7495b2ce9bf860d8e53f936a68878a4c4df3379d467f29c07c562",
+    }
+    for (n, d, direction), digest in pins.items():
+        grouped = {
+            schur._step(k, d).layout(d ** (n - k - 1))
+            for k in range(1, n)
+            for lam, *_ in schur._step(k, d).sources
+            if schur.cg_block(lam, d).dense is None
+        }
+        assert grouped == {"pqr", "qrp"}, (n, d)
+        rng = np.random.default_rng(1000 * n + d)
+        y = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        out = schur_apply(y, n, d, direction, max_dim=d**n)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (n, d, direction)
 
 
 def _check_matrix_free(n, d, seed):
