@@ -17,7 +17,6 @@ from functools import cache
 from .partitions import (
     Partition,
     add_box,
-    canonical_key,
     dim_P,
     interlaces,
     interlacing_set,
@@ -143,10 +142,11 @@ def _chains(top: Partition, depth: int, below) -> list[tuple]:
     """The chains (top, ...) of `depth` partitions, each one in
     below(previous, level of previous) with top at level depth: depth first,
     in the order `below` gives. A stack, not recursion, so deep chains stay
-    within the recursion limit; `below` runs once per (partition, level).
+    within the recursion limit; `below` runs once per (partition, level),
+    never on an empty partition: its one chain below is all empty.
     """
-    if depth == 1:
-        return [(top,)]
+    if depth == 1 or not top:
+        return [(top,) * depth]
     memo = {}
     out = []
     chain = [top]
@@ -156,8 +156,8 @@ def _chains(top: Partition, depth: int, below) -> list[tuple]:
         if node is None:
             stack.pop()
             chain.pop()
-        elif len(chain) == depth - 1:
-            out.append((*chain, node))
+        elif len(chain) == depth - 1 or not node:
+            out.append((*chain, node) + (node,) * (depth - len(chain) - 1))
         else:
             chain.append(node)
             key = node, depth - len(chain) + 1
@@ -237,38 +237,37 @@ def parse_ssyt(text: str) -> list[list[int]]:
     return [[int(v) for v in row.split(",")] for row in text.strip().split("/")]
 
 
-def rank_path(p: YyPath) -> int:
-    """Position of p in the canonical path order, 1-based.
+@cache
+def path_offsets(nu: Partition) -> dict:
+    """{mu: where the paths through mu start among nu's paths, 0-based} over
+    mu in remove_box_set(nu): nu's paths list those through each mu in
+    canonical order, dim_P(mu) each. The one statement of the path order,
+    read by rank_path, unrank_path and the cascade's plans."""
+    offsets, start = {}, 0
+    for mu in remove_box_set(nu):
+        offsets[mu] = start
+        start += dim_P(mu)
+    return offsets
 
-    f_n(p) = 1 + sum_{k=2..n} sum_{mu in p_k - box, mu before p_{k-1}} dim P_mu,
-    where "before" is the canonical partition order.
-    """
-    rank = 1
-    for k in range(2, p.n + 1):
-        key = canonical_key(p.level(k - 1))
-        for mu in remove_box_set(p.level(k)):
-            if canonical_key(mu) < key:
-                rank += dim_P(mu)
-    return rank
+
+def rank_path(p: YyPath) -> int:
+    """Position of p in the canonical path order, 1-based: one plus the
+    path_offsets of each level of its chain within the level above."""
+    return 1 + sum(path_offsets(nu)[mu] for nu, mu in zip(p.chain, p.chain[1:]))
 
 
 def unrank_path(lam: Partition, rank: int) -> YyPath:
     """Inverse of rank_path for 1 <= rank <= dim_P(lam)."""
+    if lam.size < 1:
+        raise ValueError("lambda must have at least one box")
     if not 1 <= rank <= dim_P(lam):
         raise ValueError(f"rank {rank} outside [1, {dim_P(lam)}] for {lam}")
-    chain = [lam]
-    cur, r = lam, rank - 1
-    while cur.size > 1:
-        for mu in remove_box_set(cur):
-            dm = dim_P(mu)
-            if r < dm:
-                chain.append(mu)
-                cur = mu
-                break
-            r -= dm
-        else:
-            raise AssertionError("rank exhausted removal set")
-    return YyPath(chain)
+    chain, r = [lam], rank - 1
+    while chain[-1].size > 1:  # the last mu whose paths start at or before r
+        mu, start = next(e for e in reversed(path_offsets(chain[-1]).items()) if e[1] <= r)
+        chain.append(mu)
+        r -= start
+    return YyPath._trusted(tuple(chain))
 
 
 def _bits(value: int, width: int) -> str:

@@ -33,9 +33,11 @@ from .jsonform import lists, pairs
 from .partitions import Partition, add_box, dim_Q, format_partition, interlacing_set
 from .wigner import _value as _wigner_value
 
-# Cost of gathering and scattering one row of the operand, in dense
-# multiply-adds per column. A block whose weight sub-blocks save less work
-# than that is stored as one dense group (all blocks at d = 2 in practice).
+# Cost per column, in dense multiply-adds, of an operand row held in a
+# grouped block's stacked order: its product row moves through a buffer and
+# an index (CgBlock.feeds), not in place. A block whose weight sub-blocks
+# save less is one dense group (all at d = 2 in practice); a new value would
+# change which blocks are dense, and so the output bits.
 GATHER_COST = 48
 
 

@@ -13,14 +13,13 @@ state or a batch of columns, in either direction, and schur_unitary is
 schur_apply on panels of identity columns. Step k pairs each sector's GZ
 index with the next qudit and applies the CG block of lambda, whose row
 slice for each valid j (see cg_rows) lands in the sector lambda + e_j. The
-routing of each step is a plan (_step), built and checked once per (k, d):
-each route fixes its target, its row slice of the block and the slice of
-the target's path axis that lambda's paths fill. Visiting lambda in
-canonical order visits the predecessors of every target in the order its
-path axis stacks them, which is exactly the path-rank order of the
-multiplicity register. Building a plan raises RuntimeError unless every
-target's path axis is filled exactly, before any buffer is allocated, so
-the steps themselves only move data.
+routing of each step is a plan (_step), built and checked once per (k, d),
+the join of the two branching tables: each route fixes its target, its row
+slice of the block (cg_rows) and the slice of the target's path axis that
+lambda's paths fill (path_offsets, the path-rank order of the multiplicity
+register). Building a plan raises RuntimeError unless every target's path
+axis is filled exactly, before any buffer is allocated, so the steps
+themselves only move data.
 
 The cascade stores the sectors in one of two layouts, chosen so that
 consuming the next qudit is a free reshape and each product writes its rows
@@ -67,6 +66,7 @@ from .bases import (
     format_path,
     format_ssyt,
     gz_to_ssyt,
+    path_offsets,
     rank_path,
     unrank_path,
 )
@@ -214,33 +214,31 @@ def _step(k: int, d: int) -> _Step:
     routes are (t, rows, paths) per row slice of cg_rows(lambda, d): t
     indexes lambda + e_j in enumerate_partitions(d, k + 1), rows is its row
     slice of cg_block(lambda, d) and paths the slice of t's path axis that
-    lambda's paths fill. A target stacks its predecessors in canonical
-    order, so walking the sources in order fills each path axis in rank
-    order. incoming lists the same routes by target, as (s, rows, paths, r)
-    with s the source's index and r the route's index among its routes, in
-    path order. Raises RuntimeError unless every target's path axis is
-    filled exactly.
+    lambda's paths fill, from path_offsets. incoming lists the same routes
+    by target, as (s, rows, paths, r) with s the source's index and r the
+    route's index among its routes, in source order. Raises RuntimeError
+    unless the routes into every target are as wide as its path axis.
     """
     lams = enumerate_partitions(d, k + 1)
     index = {lam: t for t, lam in enumerate(lams)}
-    cursors = [0] * len(lams)
+    filled = [0] * len(lams)
     incoming = [[] for _ in lams]
     sources = []
     for s, lam in enumerate(enumerate_partitions(d, k)):
         dp = dim_P(lam)
         routes = []
         for _, nu, rows in cg_rows(lam, d):
-            t = index[nu]
-            paths = slice(cursors[t], cursors[t] + dp)
+            t, start = index[nu], path_offsets(nu)[lam]
+            paths = slice(start, start + dp)
             incoming[t].append((s, rows, paths, len(routes)))
             routes.append((t, rows, paths))
-            cursors[t] += dp
+            filled[t] += dp
         sources.append((lam, dim_Q(lam, d), dp, tuple(routes)))
     targets = tuple((lam, dim_Q(lam, d), dim_P(lam)) for lam in lams)
-    for t, (cursor, (_, _, width)) in enumerate(zip(cursors, targets)):
-        if cursor != width:
+    for t, (width, (_, _, dp)) in enumerate(zip(filled, targets)):
+        if width != dp:
             raise RuntimeError(
-                f"step {k}: routes cover {cursor} of the {width} paths of sector {t}"
+                f"step {k}: routes cover {width} of the {dp} paths of sector {t}"
             )
     return _Step(
         tuple(sources),
@@ -460,8 +458,7 @@ def compress_p(state: Mapping) -> dict:
     """Replace the YyPath label by its rank; amplitudes unchanged."""
     out = {}
     for (lam, q, p), amp in state.items():
-        if not isinstance(p, YyPath) or p.top != lam:
-            raise ValueError(f"label ({lam}, {q}, {p}) is not a valid Schur label")
+        _check_label(lam, q, p, isinstance(p, YyPath) and p.top == lam)
         out[(lam, q, rank_path(p))] = amp
     return out
 
@@ -470,5 +467,12 @@ def decompress_p(state: Mapping) -> dict:
     """Inverse of compress_p: recover the path from (lambda, rank)."""
     out = {}
     for (lam, q, r), amp in state.items():
+        _check_label(lam, q, r, True)  # unrank_path checks the rank
         out[(lam, q, unrank_path(lam, r))] = amp
     return out
+
+
+def _check_label(lam: Partition, q, p, path_ok: bool) -> None:
+    """Raise ValueError unless q is a GZ pattern of lambda and path_ok."""
+    if not (path_ok and isinstance(q, GzPattern) and q.top == lam):
+        raise ValueError(f"label ({lam}, {q}, {p}) is not a valid Schur label")

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import brute_ssyt, brute_syt
+from schurkit import bases
 from schurkit.bases import (
     GzPattern,
     YyPath,
@@ -180,6 +181,26 @@ def test_rank_unrank_round_trip_and_order():
         unrank_path(P(2, 1), 3)
     with pytest.raises(ValueError):
         unrank_path(P(2, 1), 0)
+    with pytest.raises(ValueError):  # rank 1 is within dim_P(()) = 1
+        unrank_path(P(), 1)
+
+
+def test_enumerate_gz_does_not_walk_below_an_empty_partition(monkeypatch):
+    # one pattern of (1) per level, each ending in a run of empty rows: the
+    # one chain below an empty partition needs no walk
+    calls = []
+    real = bases.interlacing_set
+
+    def recorded(lam, d):
+        calls.append(lam)
+        return real(lam, d)
+
+    monkeypatch.setattr(bases, "interlacing_set", recorded)
+    patterns = enumerate_gz.__wrapped__(P(1), 50)
+    assert len(patterns) == 50 and calls and P() not in calls
+    assert [gz_to_ssyt(q) for q in patterns] == [[[j]] for j in range(1, 51)]
+    assert enumerate_gz.__wrapped__(P(), 3) == (GzPattern((P(),) * 3),)
+    assert P() not in calls
 
 
 def test_encode_registers_layout():

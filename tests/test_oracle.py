@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_ssyt, brute_syt
 from schurkit import clebsch_gordan, oracle
-from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
+from schurkit.bases import GzPattern, enumerate_gz, enumerate_paths, gz_to_ssyt
 from schurkit.cli import run
 from schurkit.oracle import (
     ConsistencyError,
@@ -30,7 +30,7 @@ from schurkit.oracle import (
     verify_report,
     young_symmetrizer,
 )
-from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
+from schurkit.partitions import Partition, add_box, dim_P, dim_Q, enumerate_partitions
 from schurkit.schur import ResourceLimitError, SchurUnitary, schur_apply, schur_unitary
 
 
@@ -474,6 +474,87 @@ def test_sector_masses_expose_a_flipped_sign_in_a_grouped_block(flipped_grouped_
     # rebuilt blocks reach every step
     assert clebsch_gordan.cg_block(P(2, 1), 4).dense is None
     assert _worst_sector_mass_residual(9, 4, range(3)) > 1e-2
+
+
+def _gt_raising(lam, d, k):
+    """J_lambda(E_{k,k+1}) on the GZ patterns of lambda, from the normalized
+    Gel'fand-Tsetlin formula (Molev, math/0211289), not from the CG layer.
+
+    E_{k,k+1} sends pattern L to the sum over i of c_i times L + delta_{ki}
+    (row q_k gains a box in part i), with l_{ji} = m_{ji} - i + 1 and
+    c_i^2 = -prod_j (l_ki - l_{k+1,j}) prod_j (l_ki - l_{k-1,j} + 1)
+    / prod_{j != i} (l_ki - l_kj)(l_ki - l_kj + 1).
+    """
+    patterns = enumerate_gz(lam, d)
+    index = {q: a for a, q in enumerate(patterns)}
+    out = np.zeros((len(patterns), len(patterns)))
+    for a, q in enumerate(patterns):
+        below, row, above = (
+            [q.level(j).part(i) - i + 1 for i in range(1, j + 1)] for j in (k - 1, k, k + 1)
+        )
+        for i, lki in enumerate(row):
+            chain = list(q.chain)
+            chain[d - k] = add_box(q.level(k), i + 1, k)
+            b = index.get(GzPattern._trusted(tuple(chain)))
+            if b is None:  # not an interlacing pattern
+                continue
+            num = -math.prod(lki - x for x in above) * math.prod(lki - x + 1 for x in below)
+            den = math.prod((lki - x) * (lki - x + 1) for j, x in enumerate(row) if j != i)
+            out[b, a] = math.sqrt(num / den)
+    return out
+
+
+def _gt_residual(n, d, seed=0, signs=1.0):
+    """Worst over k = 1..d-1 of |U E_k x - (sum_lambda J_lambda(E_k) x I_P) U x|
+    / |E_k x| for a seeded real unit probe x, U applied by schur_apply and
+    E_k = sum over sites of |k><k+1|; both sides' rows are multiplied by
+    signs. No matrix is built."""
+    x = np.random.default_rng(seed).standard_normal(d**n)
+    x /= np.linalg.norm(x)
+    ux = signs * schur_apply(x, n, d, max_dim=d**n)
+    worst = 0.0
+    for k in range(1, d):
+        ex, digits = np.zeros((d,) * n), x.reshape((d,) * n)
+        for site in range(n):  # level k + 1 (index k) becomes level k
+            lead = (slice(None),) * site
+            ex[lead + (k - 1,)] += digits[lead + (k,)]
+        lhs = signs * schur_apply(ex.reshape(-1), n, d, max_dim=d**n)
+        rhs = np.empty_like(lhs)
+        start = 0
+        for lam in enumerate_partitions(d, n):
+            size = dim_Q(lam, d) * dim_P(lam)
+            block = ux[start : start + size].reshape(dim_Q(lam, d), dim_P(lam))
+            rhs[start : start + size] = (_gt_raising(lam, d, k) @ block).reshape(-1)
+            start += size
+        worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(ex))
+    return worst
+
+
+@pytest.mark.parametrize("n, d", [(12, 2), (16, 2), (9, 4), (7, 5)])
+def test_cascade_rows_carry_the_gelfand_tsetlin_raising_operators(n, d):
+    # above the dense bound: the GZ rows are the GT basis, generator by generator
+    assert _gt_residual(n, d) < 1e-13
+
+
+def test_gt_residual_exposes_a_flipped_wigner_sign(flipped_wigner_sign):
+    assert _gt_residual(12, 2) > 1e-2
+
+
+def test_gt_residual_exposes_a_flipped_sign_in_a_grouped_block(flipped_grouped_wigner_sign):
+    assert clebsch_gordan.cg_block(P(2, 1), 4).dense is None
+    assert _gt_residual(9, 4) > 1e-2
+
+
+@pytest.mark.parametrize("n, d", [(12, 2), (9, 4)])
+def test_gt_residual_exposes_a_changed_gz_sign_convention(n, d):
+    """One GZ basis vector, the second pattern of the second sector, negated
+    on both sides: the sector masses cannot see it, the raising operators
+    can."""
+    first, second = enumerate_partitions(d, n)[:2]
+    row = dim_Q(first, d) * dim_P(first) + dim_P(second)  # (second, q_2, path 1)
+    signs = np.ones(d**n)
+    signs[row : row + dim_P(second)] = -1
+    assert _gt_residual(n, d, signs=signs) > 1e-2
 
 
 @pytest.mark.parametrize("n", [4, 7])

@@ -505,6 +505,18 @@ def test_compress_round_trip_all_n4_labels():
         compress_p({(P(2), enumerate_gz(P(2), 2)[0], enumerate_paths(P(3))[0]): 1.0})
 
 
+def test_compress_p_and_decompress_p_check_the_gz_label():
+    lam, path = P(2, 1), enumerate_paths(P(2, 1))[0]
+    with pytest.raises(ValueError, match="not a valid Schur label"):
+        compress_p({(lam, enumerate_gz(P(3), 2)[0], path): 1.0})  # a pattern of (3)
+    with pytest.raises(ValueError, match="not a valid Schur label"):
+        compress_p({(lam, "not a pattern", path): 1.0})
+    with pytest.raises(ValueError, match="not a valid Schur label"):
+        decompress_p({(lam, "not a pattern", 1): 1.0})
+    with pytest.raises(ValueError, match="not a valid Schur label"):
+        decompress_p({(lam, enumerate_gz(P(3), 2)[0], 1): 1.0})
+
+
 def test_block_rows_accessor():
     su = schur_unitary(3, 2)
     rows = su.block_rows(P(2, 1))
