@@ -16,7 +16,7 @@ import numpy as np
 
 from .jsonform import Records, lists
 from .partitions import add_box, enumerate_partitions, interlacing_set
-from .wigner import _value
+from .wigner import _row
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,9 @@ def _control_pairs(d: int, k: int) -> set[tuple]:
     pairs = set()
     for mu in enumerate_partitions(d, k):
         for mu_p in interlacing_set(mu, d):
-            for j_p in range(d):
-                if any(_value(mu.parts, j, mu_p.parts, j_p, d) for j in range(1, d + 1)):
+            _, jps, table = _row(mu.parts, mu_p.parts, d)
+            for b, j_p in enumerate(jps):
+                if any(row[b] for row in table):
                     mupp = mu_p if j_p == 0 else add_box(mu_p, j_p)
                     pairs.add((mu.parts, mupp.parts))
     return pairs

@@ -8,10 +8,13 @@ top pattern row mu', the U_{d-1} transform of mu' acts on the pattern tail
 Wigner matrix of (lambda, mu') mixes j' -> j. A level is a table of the
 nonzero entries as arrays, made from the tables of the level below by index
 arithmetic, so every entry is the product of one Wigner coefficient per
-level, formed once.
+level, formed once; the coefficients come one (lambda, mu') row at a time
+(wigner._row).
 
 The transform commutes with the torus of U_d, so it only links labels of
-equal weight. A block is stored in one form, its weight sub-blocks stacked
+equal weight. Each level gives every pattern one integer weight class from
+the class below (see _patterns), so a label's weight is one integer, never a
+row of d sums. A block is stored in one form, its weight sub-blocks stacked
 by size: the row and the column of each stacked position, and one (k, s, s)
 array per sub-block size, so that one batched real product serves all
 sub-blocks of a size. Both directions of the Schur cascade hold their
@@ -21,6 +24,7 @@ and the labels are assembled only when asked for.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -31,7 +35,7 @@ import numpy as np
 from .bases import GzPattern, enumerate_gz, format_ssyt, gz_to_ssyt
 from .jsonform import lists, pairs
 from .partitions import Partition, add_box, dim_Q, format_partition, interlacing_set
-from .wigner import _value as _wigner_value
+from .wigner import _row as _wigner_row
 
 # Cost per column, in dense multiply-adds, of an operand row held in a
 # grouped block's stacked order: its product row moves through a buffer and
@@ -50,93 +54,126 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _targets(lam_parts: tuple, d: int) -> tuple:
     """((j, parts of lambda + e_j), ...) over the valid j in 1..d."""
-    lam = Partition(lam_parts)
+    lam = Partition._trusted(lam_parts)
     nus = ((j, add_box(lam, j, d)) for j in range(1, min(len(lam_parts) + 1, d) + 1))
     return tuple((j, nu.parts) for j, nu in nus if nu is not None)
 
 
 @lru_cache(maxsize=None)
 def _patterns(lam_parts: tuple, d: int) -> tuple:
-    """(runs, sums) of the GZ patterns of lambda at d, in canonical order.
+    """(runs, ids) of the GZ patterns of lambda at d, in canonical order.
 
     runs maps each q_{d-1} (parts) to the index of its first pattern: the
     patterns sharing q_{d-1} form one run, runs in interlacing order.
-    sums[p] = (|q_1|, ..., |q_d|) for pattern p. Its torus weight is
-    wt_k = |q_k| - |q_{k-1}|, so patterns of equal weight have equal sums.
+    ids[p] is the weight class of pattern p, built level by level from the
+    pair (class of its pattern below, |q_{d-1}|) as
+    C(|q_{d-1}| + d - 2, d - 1) + class below: the rank of the partial sums
+    (|q_1|, ..., |q_{d-1}|) in the combinatorial number system. The torus
+    weight is wt_k = |q_k| - |q_{k-1}|, so two patterns of as many boxes
+    have equal weight if and only if they have equal ids, and the weights
+    of N boxes take the ids below C(N + d - 1, d - 1): one small integer
+    per pattern where a key of the d sums would not fit (5^32 > 2^63).
     """
     if d == 1:
-        return {}, _frozen(np.array([[sum(lam_parts)]], dtype=np.intp))
-    runs = {}
-    lower = []
-    count = 0
-    for mu in interlacing_set(Partition(lam_parts), d):
+        return {}, _frozen(np.zeros(1, dtype=np.intp))
+    runs, lower, count = {}, [], 0
+    for mu in interlacing_set(Partition._trusted(lam_parts), d):
         runs[mu.parts] = count
-        lower.append(_patterns(mu.parts, d - 1)[1])
+        lower.append(_patterns(mu.parts, d - 1)[1] + math.comb(mu.size + d - 2, d - 1))
         count += len(lower[-1])
-    sums = np.empty((count, d), dtype=np.intp)
-    np.concatenate(lower, out=sums[:, :-1])
-    sums[:, -1] = sum(lam_parts)
-    return runs, _frozen(sums)
+    return runs, _frozen(np.concatenate(lower))
+
+
+@lru_cache(maxsize=None)
+def _columns(lam_parts: tuple, d: int) -> np.ndarray:
+    """The weight class (see _patterns) of each column (p, i) of the CG
+    block of lambda at d, the weight of pattern p plus e_i, as a
+    (patterns, d) array: for i < d the class of column (p', i) one level
+    down with |q_{d-1}| one larger, for i = d that of pattern p itself."""
+    runs, ids = _patterns(lam_parts, d)
+    if d == 1:
+        return _frozen(ids.reshape(1, 1))
+    lower = [_columns(mu, d - 1) for mu in runs]
+    out = np.empty((len(ids), d), dtype=np.intp)
+    np.concatenate(lower, out=out[:, :-1])
+    shifts = np.array([math.comb(sum(mu) + d - 1, d - 1) for mu in runs])
+    out[:, :-1] += shifts.repeat(list(map(len, lower)))[:, None]
+    out[:, -1] = ids
+    return _frozen(out)
 
 
 @lru_cache(maxsize=None)
 def _entries(lam_parts: tuple, d: int) -> tuple:
-    """The nonzero entries of the CG block of lambda at d: (ints, vals).
+    """The nonzero entries of the CG block of lambda at d: (bounds, ints, vals).
 
-    The rows of ints are (j, s, p, i): an entry sits in the row of
-    pattern s of lambda + e_j and in the column of (pattern p of lambda,
-    qudit level i); vals holds the values.
+    The entries come grouped by row slice: those in the slice of the t-th
+    valid j (see _targets) are bounds[t]:bounds[t + 1]. The rows of ints are
+    (r, p, i): an entry sits in row r of the block, in the slice of
+    lambda + e_j (see cg_rows), and in the column of (pattern p of lambda,
+    qudit level i); vals holds the values. ints is int32, 20 bytes an entry
+    with its value: a block with 2^31 rows would not fit in memory.
 
-    For each mu', the entries of mu' at d - 1 and its i = d branch (j' = 0,
-    see _branch) move to the run of mu' among the patterns of lambda; for
-    each valid j, row (j', s') moves to pattern s' of the run of mu' + e_j'
-    among the patterns of lambda + e_j, its value times T(lambda, j, mu', j').
-    Every entry comes from exactly one lower entry. Every block at d = 1 is
-    the same 1 x 1 identity.
+    For each mu', the entries of mu' at d - 1, a group per valid j', and its
+    i = d branch (j' = 0, see _branch) move to the run of mu' among the
+    patterns of lambda; for each valid j, group j' moves to the run of
+    mu' + e_j' among the patterns of lambda + e_j, its values times
+    T(lambda, j, mu', j'). Each nonzero coefficient moves one segment of the
+    lower entries, and all segments are gathered by one index, so every
+    entry comes from exactly one lower entry. Every block at d = 1 is the
+    same 1 x 1 identity.
     """
     if d == 1:
         if lam_parts:
             return _entries((), 1)
-        unit = np.array([[1], [0], [0], [1]], dtype=np.intp)  # (j, s, p, i)
-        return _frozen(unit), _frozen(np.ones(1))
-    targets = _targets(lam_parts, d)
-    runs = _patterns(lam_parts, d)[0]
-    # coeffs[t][m*d + j'] = T(lambda, j_t, mu'_m, j'); offsets[t][m*d + j'] is
-    # where the run of mu'_m + e_j' starts among the patterns of lambda + e_j_t.
-    coeffs = [[0.0] * (len(runs) * d) for _ in targets]
-    offsets = [[0] * (len(runs) * d) for _ in targets]
-    for t, (j, nu) in enumerate(targets):
-        nu_runs = _patterns(nu, d)[0]
-        for m, mu in enumerate(runs):
-            for jp, mupp in ((0, mu),) + _targets(mu, d - 1):
-                c = _wigner_value(lam_parts, j, mu, jp, d)
+        unit = np.array([[0], [0], [1]], dtype=np.int32)  # (r, p, i)
+        return (0, 1), _frozen(unit), _frozen(np.ones(1))
+    # Per mu': its run start, its coefficient row and, per group j', the
+    # parts of mu' + e_j', its first entry in the concatenated lower entries,
+    # its length and the first row of its slice of the block of mu'.
+    lower, groups, at = [], [], 0
+    for mu, start in _patterns(lam_parts, d)[0].items():
+        bounds, ints, vals = _entries(mu, d - 1)
+        count = len(_patterns(mu, d - 1)[1])
+        lower += (_branch(count, d), (ints, vals))
+        spans, first = [(mu, at, count, 0)], 0
+        at += count
+        for (_, nu), a, b in zip(_targets(mu, d - 1), bounds, bounds[1:]):
+            spans.append((nu, at + a, b - a, first))
+            first += len(_patterns(nu, d - 1)[1])
+        at += vals.size
+        groups.append((start, spans, _wigner_row(lam_parts, mu, d)[2]))
+    # One segment per nonzero coefficient: (its first lower entry less its
+    # first entry here, its length, row shift, column pattern shift).
+    segments, coeffs, bounds, top = [], [], [0], 0  # top: the slice's first row
+    for t, (_, nu) in enumerate(_targets(lam_parts, d)):
+        nu_runs, nu_ids = _patterns(nu, d)
+        out = bounds[-1]
+        for start, spans, row in groups:
+            for (mupp, a, n, first), c in zip(spans, row[t]):
                 if c != 0.0:
-                    coeffs[t][m * d + jp] = c
-                    offsets[t][m * d + jp] = nu_runs[mupp]
-    lower = [
-        (_entries(mu, d - 1), _branch(dim_Q(Partition(mu), d - 1), d)) for mu in runs
-    ]
-    ints = np.concatenate([x[0] for pair in lower for x in pair], axis=1)
-    # Each mu' moves to its run: key m*d + j', pattern o + p.
-    shift = np.array([(m * d, 0, o, 0) for m, o in enumerate(runs.values())]).T
-    ints += shift.repeat([a[1].size + b[1].size for a, b in lower], axis=1)
-    key = ints[0]  # m*d + j'
-    coeffs = np.array(coeffs)[:, key]
-    t, e = coeffs.nonzero()
-    out = ints[:, e]
-    out[1] += np.array(offsets)[t, key[e]]
-    out[0] = np.array([j for j, _ in targets])[t]
-    vals = np.concatenate([x[1] for pair in lower for x in pair])
-    return _frozen(out), _frozen(vals[e] * coeffs[t, e])
+                    segments += (a - out, n, top + nu_runs[mupp] - first, start)
+                    coeffs.append(c)
+                    out += n
+        bounds.append(out)
+        top += len(nu_ids)
+    segments = np.fromiter(segments, np.intp, len(segments)).reshape(-1, 4)
+    lengths = segments[:, 1]
+    index = segments[:, 0].repeat(lengths)
+    index += np.arange(len(index))
+    ints = np.concatenate([x[0] for x in lower], axis=1).take(index, axis=1)
+    ints[:2] += segments[:, 2:].T.astype(np.int32).repeat(lengths, axis=1)
+    vals = np.concatenate([x[1] for x in lower])[index]
+    vals *= np.array(coeffs).repeat(lengths)
+    return tuple(bounds), _frozen(ints), _frozen(vals)
 
 
 @lru_cache(maxsize=None)
 def _branch(n: int, d: int) -> tuple:
-    """The i = d branch of n patterns as entries one level down: j' = 0,
-    pattern s' = p, value 1."""
-    ints = np.zeros((4, n), dtype=np.intp)
-    ints[1] = ints[2] = np.arange(n)
-    ints[3] = d
+    """The i = d branch of n patterns as entries one level down: row
+    r' = p, level d, value 1."""
+    ints = np.empty((3, n), dtype=np.int32)
+    ints[0] = ints[1] = np.arange(n)
+    ints[2] = d
     return _frozen(ints), _frozen(np.ones(n))
 
 
@@ -170,8 +207,10 @@ class CgBlock:
 
     @cached_property
     def row_at(self) -> np.ndarray:
-        """The stacked position of each row."""
-        return _frozen(np.argsort(self.rows))
+        """The stacked position of each row: rows inverted."""
+        at = np.empty_like(self.rows)
+        at[self.rows] = np.arange(self.size)
+        return _frozen(at)
 
     @cached_property
     def in_labels(self) -> tuple:
@@ -273,7 +312,8 @@ class CgBlock:
             q, i = np.divmod(nxt.cols, d)
             hits.append(_frozen(self.row_at.take(rows.start + q, mode="clip") * d + i))
             feeds.append(None if self.dense is not None and nxt.dense is not None else hits[-1])
-        if not np.array_equal(np.sort(np.concatenate(hits)), np.arange(d * self.size)):
+        counts = np.bincount(np.concatenate(hits), minlength=d * self.size)
+        if len(counts) != d * self.size or not (counts == 1).all():
             raise RuntimeError(
                 f"step {self.lam.size}: the blocks after lambda = "
                 f"{format_partition(self.lam)} read its product other than once"
@@ -300,73 +340,88 @@ class CgBlock:
         return lists(self.json_payload())
 
 
-def _weight(sums: np.ndarray) -> tuple:
-    return tuple(np.diff(sums, prepend=0).tolist())
+def _weight(key: int, d: int, boxes: int) -> tuple:
+    """The torus weight of class key (see _patterns) among the weights of
+    `boxes` boxes in d rows: each partial sum |q_{k-1}| is the largest s
+    with C(s + k - 2, k - 1) <= the class left at level k."""
+    sums = [boxes]
+    for k in range(d, 1, -1):
+        s = 0
+        while math.comb(s + k - 1, k - 1) <= key:
+            s += 1
+        key -= math.comb(s + k - 2, k - 1)
+        sums.append(s)
+    sums.append(0)
+    return tuple(a - b for a, b in zip(sums[-2::-1], sums[::-1]))
 
 
-def _stack_by_weight(row_sums: np.ndarray, col_sums: np.ndarray, rows, cols, vals):
+def _stack_by_weight(row_ids, col_ids, rows, cols, vals, d: int, boxes: int):
     """(rows, cols, blocks) of a square block with entries (rows, cols, vals):
     the stored form of CgBlock.
 
-    Labels of equal pattern sums (see _patterns) form a weight class. The
+    Labels of equal class id (see _patterns) form a weight class. The
     stacked order runs over class sizes ascending; within a size, classes in
     order of first appearance, rows before columns; rows and columns ascend
     within a class. A block whose sub-blocks save less than GATHER_COST per
-    row is one dense sub-block in natural order.
+    row is one dense sub-block in natural order. d and boxes name the
+    weights in the messages.
     """
-    size = len(row_sums)
-    both = np.concatenate((row_sums, col_sums))
-    order = np.lexsort(both.T)  # stable: a class's first label leads it
+    size = len(row_ids)
+    both = np.concatenate((row_ids, col_ids))
+    # One stable sort on the class id, held in the narrowest unsigned type
+    # that fits, so that a class's first label leads it.
+    order = np.argsort(both.astype(np.min_scalar_type(int(both.max()))), kind="stable")
     ordered = both[order]
-    new = np.zeros(2 * size, dtype=bool)  # where each class starts in order
+    new = np.empty(2 * size, dtype=bool)  # where each class starts in order
     new[0] = True
-    new[1 + (ordered[1:] != ordered[:-1]).nonzero()[0]] = True
-    ids = np.empty(2 * size, dtype=np.intp)
-    ids[order] = new.cumsum() - 1
-    row_ids, col_ids = ids[:size], ids[size:]
-    appears = order[new]  # the first label of each class
-    n_rows = np.bincount(row_ids, minlength=len(appears)).tolist()
-    n_cols = np.bincount(col_ids, minlength=len(appears)).tolist()
-    if n_rows != n_cols:
-        c = min(
-            (c for c, n in enumerate(n_rows) if n != n_cols[c]),
-            key=lambda c: appears[c],
-        )
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    heads = new.nonzero()[0]
+    appears = order[heads]  # the first label of each class
+    is_row = order < size
+    n_rows = np.add.reduceat(is_row, heads, dtype=np.intp)
+    n_cols = np.add.reduceat(~is_row, heads, dtype=np.intp)
+    if (unequal := (n_rows != n_cols).nonzero()[0]).size:
+        c = min(unequal, key=lambda c: appears[c])
         raise RuntimeError(
-            f"weight {_weight(ordered[new][c])} has {n_rows[c]} rows but "
-            f"{n_cols[c]} columns"
+            f"weight {_weight(int(ordered[heads[c]]), d, boxes)} has {n_rows[c]} rows "
+            f"but {n_cols[c]} columns"
         )
     linked = (row_ids[rows] != col_ids[cols]).nonzero()[0]
     if linked.size:
         r, c = rows[linked[0]], cols[linked[0]]
         raise RuntimeError(
-            f"entry ({r}, {c}) links weights {_weight(row_sums[r])} "
-            f"and {_weight(col_sums[c])}"
+            f"entry ({r}, {c}) links weights {_weight(int(row_ids[r]), d, boxes)} "
+            f"and {_weight(int(col_ids[c]), d, boxes)}"
         )
-    if sum(n * n for n in n_rows) + GATHER_COST * size >= size * size:
+    if int(n_rows @ n_rows) + GATHER_COST * size >= size * size:
         dense = np.zeros((1, size, size))
         dense.reshape(-1)[rows * size + cols] = vals
         whole = np.arange(size, dtype=np.intp)
         return whole, whole, (dense,)
     by_size = np.lexsort((appears, n_rows))  # size, then first appearance
-    rank = np.empty_like(by_size)
-    rank[by_size] = np.arange(len(by_size))
-    sizes = np.array(n_rows)[by_size]
+    sizes = n_rows[by_size]
     first = np.cumsum(sizes) - sizes  # first row (and column) of each class
     starts = np.cumsum(sizes * sizes) - sizes * sizes  # and its first entry
-    row_order = np.argsort(rank[row_ids], kind="stable")
-    col_order = np.argsort(rank[col_ids], kind="stable")
-    place = np.empty(2 * size, dtype=np.intp)  # position within the class
-    shift = np.repeat(first, sizes)
-    place[row_order] = np.arange(size) - shift
-    place[size + col_order] = np.arange(size) - shift
-    cls = rank[row_ids[rows]]
+    # Stacked position a of a class of size s starting at (first, start)
+    # holds row a - first and column a - first of its s x s sub-block. A
+    # class's rows lead its labels in order, ascending, and its columns
+    # follow them: read each class's out in stacked order.
+    width = sizes.repeat(sizes)  # of the class at each stacked position
+    within = np.arange(size) - first.repeat(sizes)
+    at = heads[by_size].repeat(sizes) + within
+    row_order = order[at]
+    col_order = order[at + width] - size
+    row_at = np.empty(size, dtype=np.intp)  # entry offset of each row
+    row_at[row_order] = starts.repeat(sizes) + within * width
+    col_at = np.empty(size, dtype=np.intp)
+    col_at[col_order] = within
     flat = np.zeros(starts[-1] + sizes[-1] ** 2)
-    flat[starts[cls] + place[rows] * sizes[cls] + place[size + cols]] = vals
+    flat[row_at[rows] + col_at[cols]] = vals
     bounds = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+    sizes, starts = sizes.tolist(), starts.tolist()
     blocks = []
     for a, b in zip(bounds, bounds[1:]):
-        k, s, e = b - a, int(sizes[a]), int(starts[a])
+        k, s, e = b - a, sizes[a], starts[a]
         blocks.append(flat[e : e + k * s * s].reshape(k, s, s))
     return row_order, col_order, tuple(blocks)
 
@@ -381,7 +436,7 @@ def cg_rows(lam: Partition, d: int) -> tuple:
     out = []
     start = 0
     for j, nu in _targets(lam.parts, d):
-        nu = Partition(nu)
+        nu = Partition._trusted(nu)
         stop = start + dim_Q(nu, d)
         out.append((j, nu, slice(start, stop)))
         start = stop
@@ -401,22 +456,17 @@ def cg_block(lam: Partition, d: int) -> CgBlock:
     if len(lam) > d:
         raise ValueError(f"lambda={lam} needs more than d={d} rows")
     rows = cg_rows(lam, d)
-    row_sums = np.concatenate([_patterns(nu.parts, d)[1] for _, nu, _ in rows])
-    sums = _patterns(lam.parts, d)[1]
+    row_ids = np.concatenate([_patterns(nu.parts, d)[1] for _, nu, _ in rows])
+    col_ids = _columns(lam.parts, d).reshape(-1)
     size = dim_Q(lam, d) * d
-    if not len(row_sums) == len(sums) * d == size:
+    if not len(row_ids) == len(col_ids) == size:
         raise RuntimeError(
-            f"CG block for {lam}, d={d}: {len(row_sums)} x {len(sums) * d}, "
+            f"CG block for {lam}, d={d}: {len(row_ids)} x {len(col_ids)}, "
             f"expected {size} x {size}"
         )
-    # Column (p, i) has the weight of pattern p plus e_i: |q_k| + 1 for k >= i.
-    steps = np.array([[int(k >= i) for k in range(d)] for i in range(d)])
-    col_sums = (sums[:, None, :] + steps).reshape(size, d)
-    starts = np.zeros(d + 1, dtype=np.intp)  # first row of each valid j
-    for j, _, at in rows:
-        starts[j] = at.start
-    (j, s, p, i), vals = _entries(lam.parts, d)
-    stacked = _stack_by_weight(row_sums, col_sums, starts[j] + s, p * d + i - 1, vals)
+    _, (r, p, i), vals = _entries(lam.parts, d)
+    c = np.multiply(p, d, dtype=np.intp) + (i - 1)  # column (p, i)
+    stacked = _stack_by_weight(row_ids, col_ids, r.astype(np.intp), c, vals, d, lam.size + 1)
     return CgBlock(lam, d, *stacked)
 
 

@@ -42,6 +42,13 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    @classmethod
+    def _trusted(cls, parts: tuple) -> Partition:
+        """A partition from parts already in normal form; no checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
+
     @property
     def size(self) -> int:
         """Number of boxes (the integer being partitioned)."""
@@ -114,7 +121,7 @@ def enumerate_partitions(d: int, n: int) -> list[Partition]:
 
     def build(prefix: list[int], remaining: int, cap: int, slots: int):
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._trusted(tuple(prefix)))
             return
         # Largest feasible first part keeps the output in descending lex order.
         # ceil: must leave a nonincreasing tail, so the last slot takes all
@@ -151,7 +158,9 @@ def interlacing_set(lam: Partition, d: int) -> list[Partition]:
     if len(lam) > d:
         raise ValueError(f"lambda={lam} needs more than d={d} rows")
     rows = (range(lam.part(i), lam.part(i + 1) - 1, -1) for i in range(1, d))
-    return [Partition(mu[: mu.index(0)] if 0 in mu else mu) for mu in product(*rows)]
+    # each range is descending and stops at the next row, so every mu is
+    # nonincreasing with its zeros last
+    return [Partition._trusted(mu[: mu.index(0)] if 0 in mu else mu) for mu in product(*rows)]
 
 
 def add_box(lam: Partition, j: int, d: int | None = None) -> Partition | None:
@@ -164,7 +173,7 @@ def add_box(lam: Partition, j: int, d: int | None = None) -> Partition | None:
     new[j - 1] += 1
     if j >= 2 and new[j - 2] < new[j - 1]:
         return None
-    return Partition(new)
+    return Partition._trusted(tuple(new))  # j <= len + 1 here, so no zero
 
 
 def remove_box(lam: Partition, j: int) -> Partition | None:
@@ -177,7 +186,7 @@ def remove_box(lam: Partition, j: int) -> Partition | None:
     new[j - 1] -= 1
     if new[j - 1] < (new[j] if j < len(new) else 0):
         return None
-    return Partition(new)
+    return Partition._trusted(tuple(new[:-1] if new[-1] == 0 else new))
 
 
 def remove_box_set(lam: Partition) -> list[Partition]:
@@ -189,8 +198,8 @@ def remove_box_set(lam: Partition) -> list[Partition]:
 
 def _weyl_product(lam: Partition, d: int) -> int:
     """prod_{1<=i<j<=d}(lambda_i - lambda_j + j - i), the numerator of dim_Q."""
-    rows = range(1, d + 1)
-    return math.prod(lam.part(i) - lam.part(j) + j - i for i in rows for j in rows if i < j)
+    shifted = [x - i for i, x in enumerate(lam.parts + (0,) * (d - len(lam)))]
+    return math.prod([a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :]])
 
 
 @cache

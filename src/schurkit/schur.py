@@ -17,9 +17,9 @@ routing of each step is a plan (_step), built and checked once per (k, d),
 the join of the two branching tables: each route fixes its target, its row
 slice of the block (cg_rows) and the slice of the target's path axis that
 lambda's paths fill (path_offsets, the path-rank order of the multiplicity
-register). Building a plan raises RuntimeError unless every target's path
-axis is filled exactly, before any buffer is allocated, so the steps
-themselves only move data.
+register). Building a plan raises RuntimeError unless the routes into
+every target tile its path axis exactly, before any buffer is allocated,
+so the steps themselves only move data.
 
 The cascade stores the sectors in one of two layouts, chosen so that
 consuming the next qudit is a free reshape and each product writes its rows
@@ -217,11 +217,11 @@ def _step(k: int, d: int) -> _Step:
     lambda's paths fill, from path_offsets. incoming lists the same routes
     by target, as (s, rows, paths, r) with s the source's index and r the
     route's index among its routes, in source order. Raises RuntimeError
-    unless the routes into every target are as wide as its path axis.
+    unless the routes into every target tile its path axis [0, dim_P)
+    exactly: no gap, no overlap.
     """
     lams = enumerate_partitions(d, k + 1)
     index = {lam: t for t, lam in enumerate(lams)}
-    filled = [0] * len(lams)
     incoming = [[] for _ in lams]
     sources = []
     for s, lam in enumerate(enumerate_partitions(d, k)):
@@ -232,13 +232,14 @@ def _step(k: int, d: int) -> _Step:
             paths = slice(start, start + dp)
             incoming[t].append((s, rows, paths, len(routes)))
             routes.append((t, rows, paths))
-            filled[t] += dp
         sources.append((lam, dim_Q(lam, d), dp, tuple(routes)))
     targets = tuple((lam, dim_Q(lam, d), dim_P(lam)) for lam in lams)
-    for t, (width, (_, _, dp)) in enumerate(zip(filled, targets)):
-        if width != dp:
+    for t, ((_, _, dp), into) in enumerate(zip(targets, incoming)):
+        spans = sorted((paths.start, paths.stop) for _, _, paths, _ in into)
+        ends = [0] + [b for _, b in spans]  # each span starts where the last ends
+        if [a for a, _ in spans] != ends[:-1] or ends[-1] != dp:
             raise RuntimeError(
-                f"step {k}: routes cover {width} of the {dp} paths of sector {t}"
+                f"step {k}: the routes into sector {t} do not tile its {dp} paths: {spans}"
             )
     return _Step(
         tuple(sources),

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
 
 import numpy as np
 
@@ -70,53 +71,95 @@ class ReducedWignerQuery:
 
 @lru_cache(maxsize=None)
 def _value(mu_parts: tuple, j: int, mup_parts: tuple, j_prime: int, d: int) -> float:
-    """The coefficient from parts tuples; no Partition is built."""
+    """The coefficient from parts tuples, read off its row (see _row)."""
     if j < 1:
         raise ValueError("row index j is 1-based")
     if j_prime < 0:
         raise ValueError("j' is 0 (the trivial branch) or a 1-based row index")
-    mu = mu_parts + (0,) * (d + 1 - len(mu_parts))  # mu_1..mu_{d+1}
-    mup = mup_parts + (0,) * (d - len(mup_parts))  # mu'_1..mu'_d
-    # lam = mu + e_j and mu'' = mu' + e_j' must be partitions in d and d-1 rows.
-    if not 1 <= j <= d or (j > 1 and mu[j - 2] == mu[j - 1]):
+    js, jps, table = _row(mu_parts, mup_parts, d)
+    if j not in js or j_prime not in jps:
         return 0.0
-    if j_prime > d - 1 or (j_prime > 1 and mup[j_prime - 2] == mup[j_prime - 1]):
-        return 0.0
-    lam = list(mu)
-    lam[j - 1] += 1
-    mupp = list(mup)
-    if j_prime:
-        mupp[j_prime - 1] += 1
-    for i in range(d):
-        if not (mu[i] >= mup[i] >= mu[i + 1] and lam[i] >= mupp[i] >= lam[i + 1]):
-            return 0.0
+    return table[js.index(j)][jps.index(j_prime)]
 
-    mt = [mu[i - 1] + d - i for i in range(1, d + 1)]
-    mpt = [mup[i - 1] + d - 1 - i for i in range(1, d)]
 
-    x = mt[j - 1]
-    num = den = 1
-    for s in range(1, d):
-        if s != j_prime:
-            num *= x - mpt[s - 1]
-    for s in range(1, d + 1):
-        if s != j:
-            den *= x - mt[s - 1]
-    if j_prime:  # the mu~'_{j'} factors; j' = 0 has none
-        y = mpt[j_prime - 1]
-        for t in range(1, d + 1):
-            if t != j:
-                num *= y - mt[t - 1] + 1
-        for t in range(1, d):
-            if t != j_prime:
-                den *= y - mpt[t - 1] + 1
-    if den == 0 or num * den < 0:
-        raise ArithmeticError(
-            f"radicand {num}/{den} for (mu={_text(mu_parts)}, j={j}, "
-            f"mu'={_text(mup_parts)}, j'={j_prime}, d={d})"
-        )
-    root = math.sqrt(num / den)
-    return -root if 0 < j_prime < j else root
+@lru_cache(maxsize=None)
+def _row(mu_parts: tuple, mup_parts: tuple, d: int) -> tuple:
+    """Every coefficient of one (mu, mu') pair at d: (js, jps, table).
+
+    js are the j with mu + e_j a partition in d rows, jps the j' with
+    mu' + e_j' one in d - 1 rows, 0 first, and table[a][b] is
+    T(mu, js[a], mu', jps[b]); any other (j, j') is exactly 0. The products
+    are shared across the row: per j the product of its factors
+    (mu~_j - mu~'_s) over all s, per j' that of (mu~'_j' - mu~_t + 1) over
+    all t, so each num and den is a few exact integer steps, dividing out
+    the one factor that j' (or j) leaves out; each coefficient is the
+    correctly rounded sign * sqrt(num / den).
+    """
+    mu, js, mt, den_js = _shifted(mu_parts, d, 0)
+    mup, jps, mpt, den_jps = _shifted(mup_parts, d - 1, 1)
+    jps = (0, *jps)
+    if not (all(map(ge, mu[:d], mup)) and all(map(ge, mup, mu[1 : d + 1]))):
+        return js, jps, tuple((0.0,) * len(jps) for _ in js)
+    # Per j' >= 1: y = mu~'_j', the factors (y - mu~_t + 1) over t, their
+    # product, and whether mu'_j' = mu_j' (then mu'' passes lam unless j = j').
+    lower = []
+    for jp, den_jp in zip(jps[1:], den_jps):
+        y = mpt[jp - 1]
+        g = [y - x + 1 for x in mt]
+        lower.append((jp, y, g, math.prod(g), den_jp, mup[jp - 1] == mu[jp - 1]))
+    table = []
+    for j, den_j in zip(js, den_js):
+        x = mt[j - 1]
+        f = [x - y for y in mpt]  # (mu~_j - mu~'_s), s = 1..d-1
+        f_all = math.prod(f)
+        # lam and mu'' interlace unless a box of one passes the other: lam's
+        # new box passes mu' if mu'_{j-1} = mu_j, unless j' = j - 1.
+        ahead = j > 1 and mup[j - 2] == mu[j - 1]
+        if ahead:
+            row = [0.0]
+        else:  # j' = 0
+            if den_j == 0 or f_all * den_j < 0:
+                raise _radicand_error(f_all, den_j, mu_parts, j, mup_parts, 0, d)
+            row = [math.sqrt(f_all / den_j)]
+        for jp, y, g, g_all, den_jp, full in lower:
+            if (ahead and jp != j - 1) or (full and jp != j):
+                row.append(0.0)
+                continue
+            # Leave out f[j' - 1] = x - y and g[j - 1] = 1 - (x - y).
+            step = x - y
+            if step and step != 1:
+                num = f_all * g_all // (step * (1 - step))
+            else:
+                num = math.prod(f[: jp - 1] + f[jp:]) * math.prod(g[: j - 1] + g[j:])
+            den = den_j * den_jp
+            if den == 0 or num * den < 0:
+                raise _radicand_error(num, den, mu_parts, j, mup_parts, jp, d)
+            root = math.sqrt(num / den)
+            row.append(-root if jp < j else root)
+        table.append(tuple(row))
+    return js, jps, tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _shifted(parts: tuple, rows: int, plus: int) -> tuple:
+    """What a row (see _row) reads of one partition in `rows` rows: (parts
+    padded to rows + 1, the rows k where a box can be added within `rows`
+    rows, the shifted weights m~_i = m_i + rows - i, and per such k
+    prod_{t != k} (m~_k - m~_t + plus))."""
+    m = parts + (0,) * (rows + 1 - len(parts))
+    ks = tuple(k for k in range(1, rows + 1) if k == 1 or m[k - 2] != m[k - 1])
+    mt = tuple(m[i] + rows - 1 - i for i in range(rows))
+    dens = tuple(
+        math.prod([mt[k - 1] + plus - z for t, z in enumerate(mt, 1) if t != k]) for k in ks
+    )
+    return m, ks, mt, dens
+
+
+def _radicand_error(num: int, den: int, mu_parts, j, mup_parts, jp, d) -> ArithmeticError:
+    return ArithmeticError(
+        f"radicand {num}/{den} for (mu={_text(mu_parts)}, j={j}, "
+        f"mu'={_text(mup_parts)}, j'={jp}, d={d})"
+    )
 
 
 def _text(parts: tuple) -> str:

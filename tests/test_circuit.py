@@ -154,3 +154,13 @@ def test_rotation_classes_are_translation_reduced():
     r = gate_count_report(6, 2)
     for st in r.steps:
         assert st.rotation_classes <= st.control_pairs
+
+
+def test_gate_count_report_is_pinned():
+    """Every report with n <= 8 and d <= 5, pinned by the SHA-256 of their
+    reprs: the census reads the same coefficient rows as the CG build."""
+    import hashlib
+
+    text = "\n".join(repr(gate_count_report(n, d)) for d in range(1, 6) for n in range(1, 9))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e24b8db3764e8b9ff492361fd1eec2f96e92c554213c5f1936a2168fbe72d139"

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -245,9 +248,9 @@ def test_cross_weight_entry_raises(monkeypatch):
     from schurkit import clebsch_gordan
 
     def cross_weight(lam_parts, d):
-        # (j, s, p, i) = (1, 2, 0, 1): column (q = (1)/(1), i = 1) has weight
-        # (2, 0); row (j = 1, pattern (2)/()) has (0, 2)
-        return np.array([[1], [2], [0], [1]]), np.ones(1)
+        # (r, p, i) = (2, 0, 1), r in the slice of j = 1: column (q = (1)/(1),
+        # i = 1) has weight (2, 0); row (j = 1, pattern (2)/()) has (0, 2)
+        return (0, 1, 1), np.array([[2], [0], [1]], dtype=np.int32), np.ones(1)
 
     cg_block.cache_clear()
     monkeypatch.setattr(clebsch_gordan, "_entries", cross_weight)
@@ -265,12 +268,12 @@ def test_unequal_weight_class_raises(monkeypatch):
     patterns = clebsch_gordan._patterns
 
     def relabeled(lam_parts, d):
-        runs, sums = patterns(lam_parts, d)
+        runs, ids = patterns(lam_parts, d)
         if (lam_parts, d) == ((2,), 2):
-            # pattern (2)/() of weight (0, 2) gets the sums of weight (1, 1)
-            sums = sums.copy()
-            sums[2, 0] = 1
-        return runs, sums
+            # pattern (2)/() of weight (0, 2) gets the class of weight (1, 1)
+            ids = ids.copy()
+            ids[2] = 1
+        return runs, ids
 
     cg_block.cache_clear()
     monkeypatch.setattr(clebsch_gordan, "_patterns", relabeled)
@@ -285,3 +288,29 @@ def test_block_rejects_d_below_one():
     # an empty lambda fits in any number of rows, so only the d check catches it
     with pytest.raises(ValueError, match="d must be"):
         cg_block(P(), 0)
+
+
+def test_block_at_d16_builds_in_bounded_memory():
+    """cg_block((2,1), 16) from empty caches, in a fresh process: the traced
+    peak of the build, every level included, stays at most 24 MiB. The
+    block stores 1.5 MB."""
+    import schurkit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schurkit.__file__)))
+    code = (
+        "import tracemalloc\n"
+        "from schurkit.clebsch_gordan import cg_block\n"
+        "from schurkit.partitions import Partition\n"
+        "tracemalloc.start()\n"
+        "cg_block(Partition((2, 1)), 16)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert int(run.stdout) <= 24 * 2**20

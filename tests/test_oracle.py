@@ -343,19 +343,26 @@ def test_haar_unitary_seeded_and_unitary():
 
 
 def _changed_wigner_value(monkeypatch, key, change):
-    """Replace the reduced Wigner coefficient at `key` by change(value), with
-    the CG caches cleared on entry and exit."""
+    """Replace the reduced Wigner coefficient at key = (mu, j, mu', j', d)
+    by change(value) in the coefficient rows the CG build reads, with the
+    CG caches cleared on entry and exit."""
     from schurkit import clebsch_gordan
 
-    value = clebsch_gordan._wigner_value
+    row = clebsch_gordan._wigner_row
+    mu, j, mup, jp, d = key
 
     def changed(*args):
-        c = value(*args)
-        return change(c) if args == key else c
+        js, jps, table = row(*args)
+        if args != (mu, mup, d):
+            return js, jps, table
+        a, b = js.index(j), jps.index(jp)
+        table = [list(r) for r in table]
+        table[a][b] = change(table[a][b])
+        return js, jps, tuple(map(tuple, table))
 
     clebsch_gordan.cg_block.cache_clear()
     clebsch_gordan._entries.cache_clear()
-    monkeypatch.setattr(clebsch_gordan, "_wigner_value", changed)
+    monkeypatch.setattr(clebsch_gordan, "_wigner_row", changed)
     try:
         yield
     finally:

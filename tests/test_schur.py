@@ -211,13 +211,16 @@ def test_cascade_matches_matrix_in_every_layout():
     assert len({seq.count("pqr") for seq in switches}) >= 8
 
 
-@pytest.mark.parametrize("change", ["drop", "repeat"])
+@pytest.mark.parametrize("change", ["drop", "repeat", "swap"])
 @pytest.mark.parametrize("route", ["forward", "inverse", "unitary"])
 def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
     """The sector tensors start uninitialised, so a route missing from (or
     repeated in) a step's plan must raise when the plan is built, not leave
     garbage in a sector. The plan is corrupted through its input: one
-    source's row layout at step 3 loses or repeats its last route."""
+    source's row layout at step 3 loses or repeats its last route, or
+    ("swap") at step 4 (3,1) repeats its route into (3,1,1) while (2,1,1)
+    drops its own, of as many paths, so the widths into (3,1,1) still add
+    up to its dim_P and only the tiling check sees paths 3:6 unfilled."""
     n, d = 6, 3
     v = np.random.default_rng(25).standard_normal(d**n)
     run = {
@@ -231,6 +234,11 @@ def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
 
     def corrupted(lam, dd):
         rows = real(lam, dd)
+        if change == "swap":
+            into = P(3, 1, 1)
+            if lam == P(3, 1):
+                return rows + tuple(r for r in rows if r[1] == into)
+            return tuple(r for r in rows if lam != P(2, 1, 1) or r[1] != into)
         if lam != source:
             return rows
         return rows[:-1] if change == "drop" else rows + rows[-1:]

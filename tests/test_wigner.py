@@ -1,15 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import cs_reduced_wigner_d2, intertwiner_nullspace, su2_irrep
 from schurkit.clebsch_gordan import cg_block
+from schurkit import wigner
 from schurkit.partitions import (
     Partition,
     add_box,
     dim_Q,
     enumerate_partitions,
+    interlaces,
     interlacing_set,
 )
 from schurkit.wigner import (
@@ -291,3 +294,73 @@ def test_wigner_eckart_factorization_constancy():
                             ReducedWignerQuery(mu, j, mup, jp, d)
                         )
                         assert abs(ratio - ref) < 1e-9, (mu, d, j, jp)
+
+
+def _fraction_coefficient(mu, j, mup, jp, d):
+    """(T, num, den): T(mu, j, mu', j') from exact Fractions, sign *
+    sqrt(float(num / den)), with the unreduced products num and den of the
+    module docstring; 0 with num = den = 1 for an invalid coupling."""
+    lam = add_box(mu, j, d)
+    mupp = mup if jp == 0 else add_box(mup, jp, d - 1)
+    if lam is None or mupp is None or not (interlaces(mup, mu) and interlaces(mupp, lam)):
+        return 0.0, 1, 1
+    mt = [mu.part(i) + d - i for i in range(1, d + 1)]
+    mpt = [mup.part(i) + d - 1 - i for i in range(1, d)]
+    x = mt[j - 1]
+    num = math.prod(x - y for s, y in enumerate(mpt, 1) if s != jp)
+    den = math.prod(x - z for t, z in enumerate(mt, 1) if t != j)
+    if jp:
+        y = mpt[jp - 1]
+        num *= math.prod(y - z + 1 for t, z in enumerate(mt, 1) if t != j)
+        den *= math.prod(y - z + 1 for t, z in enumerate(mpt, 1) if t != jp)
+    square = Fraction(num, den)
+    assert square >= 0
+    root = math.sqrt(float(square))  # Fraction -> float rounds correctly
+    return (-root if 0 < jp < j else root), num, den
+
+
+def test_rows_match_an_exact_fraction_reference_bit_for_bit():
+    """Each coefficient of a row (wigner._row, which the CG build, the
+    census and reduced_wigner_matrix read) is the correctly rounded
+    sign * sqrt(num / den), also at d >= 16 where num or den passes 2^53 and
+    float64(num) / float64(den) would round twice."""
+    cases = [(d, k) for d in range(2, 7) for k in range(7)]
+    cases += [(16, k) for k in range(5)] + [(32, k) for k in range(4)]
+    largest = checked = 0
+    for d, k in cases:
+        for mu in enumerate_partitions(d, k):
+            for mup in interlacing_set(mu, d):
+                js, jps, table = wigner._row(mu.parts, mup.parts, d)
+                for j in range(1, d + 1):
+                    for jp in range(d):
+                        ref, num, den = _fraction_coefficient(mu, j, mup, jp, d)
+                        ours = table[js.index(j)][jps.index(jp)] if j in js and jp in jps else 0.0
+                        assert ours.hex() == ref.hex(), (mu, j, mup, jp, d)
+                        largest = max(largest, abs(num), abs(den))
+                        checked += 1
+    assert largest >= 2**53
+    assert checked > 30_000
+
+
+def test_negative_radicand_raises_with_its_exact_integers(monkeypatch):
+    """No valid coupling has a negative radicand, so the guard is reached by
+    negating the den factors of mu that the row reads: T((2,1), 1, (2), 0)
+    at d = 3 is sqrt(4 / 8), here 4 / -8."""
+    shifted = wigner._shifted
+
+    def negated(parts, rows, plus):
+        m, ks, mt, dens = shifted(parts, rows, plus)
+        return m, ks, mt, tuple(-x for x in dens) if plus == 0 else dens
+
+    for cached in (wigner._row, wigner._value):
+        cached.cache_clear()
+    monkeypatch.setattr(wigner, "_shifted", negated)
+    try:
+        with pytest.raises(
+            ArithmeticError, match=r"^radicand 4/-8 for \(mu=2,1, j=1, mu'=2, j'=0, d=3\)$"
+        ):
+            _value((2, 1), 1, (2,), 0, 3)
+    finally:
+        monkeypatch.undo()
+        for cached in (wigner._row, wigner._value):
+            cached.cache_clear()
