@@ -282,20 +282,24 @@ class CgBlock:
         out[dst] = product
         return out.view(x.dtype).reshape(x.shape)
 
-    def stacked_dot(self, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
+    def stacked_dot(
+        self, x: np.ndarray, out: np.ndarray, transpose: bool = False, matmul=np.matmul
+    ) -> None:
         """The sub-blocks' products, one batched product per size.
 
         x and out are real arrays of shape (batch, size, rest), contiguous
         over their last two axes, in the stacked order: row a of x[b] is
         operand row cols[a] and row a of out[b] is product row rows[a] (the
         other way round when transposed). np.matmul broadcasts over batch.
+        Each product is matmul(sub-blocks, operand, out), so a caller may
+        record the calls instead of making them (see schur._compile).
         """
         batch, _, rest = x.shape
         for at, blocks in self._spans():
             k, s, _ = blocks.shape
             blocks = blocks.transpose(0, 2, 1) if transpose else blocks
             shape = (batch, k, s, rest)
-            np.matmul(blocks, x[:, at].reshape(shape), out=out[:, at].reshape(shape))
+            matmul(blocks, x[:, at].reshape(shape), out[:, at].reshape(shape))
 
     @cached_property
     def feeds(self) -> tuple:

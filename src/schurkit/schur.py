@@ -8,52 +8,38 @@ The cascade is carried per lambda sector: after k steps the state is a list
 of sector tensors aligned with enumerate_partitions(d, k), each with a GZ
 axis Q (dim Q_lambda), a path axis P (paths so far) and a rest axis R: the
 register still to be consumed, most significant qudit first, times the
-batch columns. schur_apply is the one driver of the cascade: it takes a
-state or a batch of columns, in either direction, and schur_unitary is
-schur_apply on panels of identity columns. Step k pairs each sector's GZ
-index with the next qudit and applies the CG block of lambda, whose row
-slice for each valid j (see cg_rows) lands in the sector lambda + e_j. The
-routing of each step is a plan (_step), built and checked once per (k, d),
-the join of the two branching tables: each route fixes its target, its row
-slice of the block (cg_rows) and the slice of the target's path axis that
-lambda's paths fill (path_offsets, the path-rank order of the multiplicity
-register). Building a plan raises RuntimeError unless the routes into
-every target tile its path axis exactly, before any buffer is allocated,
-so the steps themselves only move data.
+batch columns. Step k pairs each sector's GZ index with the next qudit and
+applies the CG block of lambda, whose row slice for each valid j (see
+cg_rows) lands in the sector lambda + e_j, along the routes of a plan
+(_step) built and checked once per (k, d). The sectors are stored
+paths-major, "pqr" (P, Q, R), while the path axes are narrower on average
+than the rest of the register, then "qrp" (Q, R, P) (see _Step.layout), so
+that the next qudit joins Q by a free reshape and each product writes its
+rows once, straight into its destination. A batch's rows in Schur order
+are its sectors stored (Q, P, R), "qpr", R being the m columns; a state
+(m = 1) reads the same memory as "qrp".
 
-The cascade stores the sectors in one of two layouts, chosen so that
-consuming the next qudit is a free reshape and each product writes its rows
-once, straight into a slab of a preallocated target:
-
-- "pqr", paths-major (P, Q, R): a route's product is batched over P.
-- "qrp", (Q, R, P): a route's product is batched over R.
-
-A step uses "pqr" while the sources' path axes are narrower on average than
-the rest of the register, sum(dim_P) < sectors * d^(n-k-1) * m, and "qrp"
-from there on; the state changes layout by one transpose. One routine,
-_cg_step, runs a step in either direction over the same plan: it multiplies
-each lambda's operand by its block, or by the transposed block for the
-inverse, and writes the product in pieces read off the routes, each once
-and straight into its destination. Between steps both directions hold the
-next step's operands, one (Q*d, P, R) tensor per lambda in its block's
-stacked order (see CgBlock): forward the columns' order, inverse the rows';
-a dense block's is the natural order. Each route writes its piece into the
-positions it fills through one composed index (CgBlock.feeds), so a
-weight-grouped block multiplies its operand where it lies, batched over P
-in "pqr". The inverse walks the plans backwards. Beyond the steps' own
-writes, each direction moves the whole state only at entry, at exit and
-where the layout changes.
-
-A batch's rows in Schur order are its sectors stored (Q, P, R), the "qpr"
-layout, with R the m columns; a state (m = 1) reads the same memory as
-"qrp".
+schur_apply, the one driver of the cascade (schur_unitary applies it to
+panels of identity columns), keeps a program (_Program) per (n, d, m,
+dtype): a direction's second call records its walk as a flat tuple of
+numpy calls on views cut then (_compile), which later calls replay. The
+passes alternate between the workspace, one state buffer of d^n * m
+entries kept for both directions, and a fresh output, written last, so
+the result never shares memory with the workspace. A replay binds only
+the views into its input, its output and, where a block is weight-grouped
+(never at d = 2), a fresh product buffer. The _KEPT programs used last are
+kept; one runs only while _step and cg_block return the objects it was
+compiled from, and a call finding it busy uses a private one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cache
-from itertools import repeat
+from functools import cache, lru_cache
+from itertools import accumulate, repeat
+from operator import is_
+from threading import Lock
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -72,13 +58,7 @@ from .bases import (
 )
 from .clebsch_gordan import cg_block, cg_rows
 from .jsonform import lists, pairs
-from .partitions import (
-    Partition,
-    dim_P,
-    dim_Q,
-    enumerate_partitions,
-    format_partition,
-)
+from .partitions import Partition, dim_P, dim_Q, enumerate_partitions, format_partition
 
 DEFAULT_MAX_DIM = 4096
 # Identity columns per schur_apply call in schur_unitary.
@@ -139,9 +119,7 @@ def _check_size(n: int, d: int, max_dim: int) -> int:
         raise ValueError("n and d must be >= 1")
     required = d**n
     if required > max_dim:
-        raise ResourceLimitError(
-            f"d^n = {required} exceeds the configured bound {max_dim}"
-        )
+        raise ResourceLimitError(f"d^n = {required} exceeds the configured bound {max_dim}")
     return required
 
 
@@ -150,46 +128,26 @@ def _check_size(n: int, d: int, max_dim: int) -> int:
 # taking the stored axes to (Q, P, R); "qpr" is only a batch's row layout.
 # Each is its own inverse.
 _AXES = {"pqr": (1, 0, 2), "qrp": (0, 2, 1), "qpr": (0, 1, 2)}
+_SET = np.ndarray.__setitem__  # a copy, gather or scatter: dest[key] = src
+_KEPT = 4  # programs kept, the least recently used dropped first
 
 
-def _stored(shape: tuple, layout: str) -> tuple:
-    """The stored shape of a sector tensor whose (Q, P, R) shape is `shape`."""
-    a, b, c = _AXES[layout]
-    return shape[a], shape[b], shape[c]
+def _take(src: np.ndarray, index, axis: int, out: np.ndarray) -> None:
+    """out = src taken at index along axis (np.take copies a strided out)."""
+    if out.flags.c_contiguous:
+        src.take(index, axis, out, "clip")
+    else:
+        out[...] = src.take(index, axis, None, "clip")
 
 
-def _qpr(tensor: np.ndarray, layout: str) -> np.ndarray:
-    """The (Q, P, R) view of a sector tensor stored in `layout`."""
-    return tensor.transpose(_AXES[layout])
+def _workspace(entries: int, dtype) -> np.ndarray:
+    """The buffer a program keeps between calls (see _Program)."""
+    return np.empty(entries, dtype)
 
 
-def _real_q1(tensor: np.ndarray, layout: str) -> np.ndarray:
-    """The float64 view, two floats per complex entry on the last axis, of
-    a sector tensor, operand or slab with its Q axis moved to axis 1."""
-    return (tensor if layout[1] == "q" else tensor.swapaxes(0, 1)).view(np.float64)
-
-
-def _sectors(shapes, layout: str, out: np.ndarray) -> list:
-    """Sector tensors of the given (Q, P, R) shapes, stored in `layout` and
-    cut in order from the buffer `out`, which they must fill exactly."""
-    sizes = [dq * dp * rest for dq, dp, rest in shapes]
-    flat = out.reshape(-1)
-    if flat.size != sum(sizes):
-        raise RuntimeError(f"sectors hold {sum(sizes)} entries, not {flat.size}")
-    tensors = []
-    start = 0
-    for shape, size in zip(shapes, sizes):
-        tensors.append(flat[start : start + size].reshape(_stored(shape, layout)))
-        start += size
-    return tensors
-
-
-def _relayout(state: list, old: str, new: str, out: np.ndarray) -> list:
-    """The sector tensors stored in layout `new`, copied into `out`."""
-    moved = _sectors([_qpr(t, old).shape for t in state], new, out)
-    for src, dst in zip(state, moved):
-        _qpr(dst, new)[...] = _qpr(src, old)
-    return moved
+@lru_cache(maxsize=_KEPT)
+def _kept(n: int, d: int, m: int, dtype) -> list:  # [the program kept], or [None]
+    return [None]
 
 
 class _Step(NamedTuple):
@@ -241,116 +199,197 @@ def _step(k: int, d: int) -> _Step:
             raise RuntimeError(
                 f"step {k}: the routes into sector {t} do not tile its {dp} paths: {spans}"
             )
-    return _Step(
-        tuple(sources),
-        targets,
-        tuple(map(tuple, incoming)),
-        sum(dp for _, _, dp, _ in sources),
-    )
+    paths = sum(dp for _, _, dp, _ in sources)
+    return _Step(tuple(sources), targets, tuple(map(tuple, incoming)), paths)
 
 
-def _gather(state: list, old: str, step: _Step, blocks, d: int, rest: int, out) -> list:
-    """The operands of step's sources, cut from `out` with their rows in
-    the blocks' stacked order, copied from the sectors of its targets
-    stored in `old`: each route's rows from the paths its target holds for
-    this source."""
-    layout = step.layout(rest)
-    ops = _sectors([(dq * d, dp, rest) for _, dq, dp, _ in step.sources], layout, out)
-    for (_, _, _, routes), op, block in zip(step.sources, ops, blocks):
-        for t, rows, paths in routes:
-            at = rows if block.dense is not None else block.row_at[rows]
-            _qpr(op, layout)[at] = _qpr(state[t], old)[:, paths]
-    return ops
+def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record: bool, *bases):
+    """One direction of the cascade, run on `bases` (x, out, product) over
+    the workspace `work` and, if `record`, returned as the flat tuple of its
+    numpy calls (function, arguments, binds): products, takes (_take) and
+    index assignments (_SET). Step k multiplies each lambda's operand, in
+    its block's stacked order, by blocks[k] (inverse: the transpose) and
+    writes each route's piece once: forward into the paths its target holds
+    for lambda, in the target's next stacked order; inverse into its rows
+    of the predecessor's operand, or the sector whole at the end or a layout
+    change (gather moves it on), by one index (CgBlock.feeds) unless both
+    blocks are dense."""
+    size, (x, out, product) = d**n * m, bases
+    rests = [d ** (n - k - 1) * m for k in range(n)]  # the rest after step k
+    layouts = {k: steps[k].layout(rests[k]) for k in range(1, n)}
+    row_layout = "qrp" if m == 1 else "qpr"  # its sectors lie in row order
+    # a pass per step and per layout change, plus the moves at entry and exit
+    passes = n - 1 + sum(layouts[k] != layouts[k + 1] for k in range(1, n - 1))
+    passes += 1 if inverse else (blocks[1][0].dense is None) + (layouts[n - 1] != row_layout)
+    states = [work, out.reshape(-1)][:: 1 if passes % 2 else -1]  # the last: out
+    calls = [] if record else None
+    owners = [b if b is None or b.base is None else b.base for b in bases]  # a view's base
+    origins = [b.__array_interface__["data"][0] for b in bases if b is not None]
 
+    def emit(fn, *args):  # runs the call, then records it, to bind x, out, product anew
+        fn(*args)
+        if calls is None:
+            return
+        args, binds = list(args), []
+        for i, a in enumerate(args):
+            if not isinstance(a, np.ndarray) or a.base is work:
+                continue  # an index or a view of the workspace
+            base = [j for j, b in enumerate(owners) if b is not None and a.base is b]
+            if not base and a.flags.writeable:  # a block's arrays are read-only
+                raise RuntimeError(f"{fn.__name__}: an operand is not a view of a buffer")
+            for j in base:
+                at = a.__array_interface__["data"][0] - origins[j]
+                args[i] = None
+                binds.append((i, j, at, a.shape, a.strides, a.dtype))
+        calls.append((fn, tuple(args), tuple(binds)))
 
-def _cg_step(
-    state: list, k: int, d: int, rest: int, out, product, blocks: list, inverse: bool
-) -> list:
-    """The CG step of _step(k, d) from k to k + 1 boxes, or back if inverse.
+    def stored(tensor, shape: tuple, layout: str) -> np.ndarray:  # (Q, P, R) shape
+        return tensor.reshape([shape[i] for i in _AXES[layout]])
 
-    blocks[k] holds the step's blocks; the cascade ends at step
-    len(blocks) - 1 forward and at step 1 inverse. Between steps both
-    directions hold each lambda's operand (Q*d, P, rest), stored in the
-    step's layout, in its block's stacked order: forward the columns', a
-    free reshape of the tensor (Q, P, d*rest) in state; inverse the rows'.
-    The operand is multiplied by the block (inverse: its transpose) and the
-    product written in pieces, one per route, each once into the result cut
-    from `out`: forward, each route's rows into the paths its target holds
-    for lambda, in the order of the target's next operand (at the end, of
-    its sector); inverse, each route's paths of lambda's sector
-    (Q, P, d*rest) into its rows of the predecessor's operand, or at the end
-    or a layout change the sector whole (_gather moves it on). A piece from
-    a dense block to a dense block or the end is one product in place; else
-    the product is made in `product` (whole if grouped, per piece if dense)
-    and the piece moves by one index: the predecessor's CgBlock.feeds, or at
-    the end the block's own order.
-    """
-    step = _step(k, d)
-    layout = step.layout(rest)
-    q_lead = (slice(None),) * layout.index("q")  # the axes before Q
-    p_lead = (slice(None),) * layout.index("p")  # the axes before P
-    sectors = k == 1 if inverse else k == len(blocks) - 1  # the result in natural order
-    if not inverse:
-        result = _sectors([(dq, dp, rest) for _, dq, dp in step.targets], layout, out)
-        pieces = [routes for *_, routes in step.sources]
-    elif not sectors and (prev := _step(k - 1, d)).layout(d * rest) == layout:
-        shapes = [(dq * d, dp, d * rest) for _, dq, dp, _ in prev.sources]
-        result = _sectors(shapes, layout, out)
-        pieces, prior = prev.incoming, blocks[k - 1]
-    else:
-        sectors = True
-        shapes = [(dq, dp, d * rest) for _, dq, dp, _ in step.sources]
-        result = _sectors(shapes, layout, out)
-        pieces = [((s, slice(None), slice(None), None),) for s in range(len(result))]
-    for (_, dq, dp, _), x, block, routes in zip(step.sources, state, blocks[k], pieces):
-        if not inverse:  # the next qudit joins Q by a free reshape
-            x = x.reshape(_stored((dq * d, dp, rest), layout))
-        dense = block.dense
-        y = None if product is None else product[: x.size].reshape(x.shape)
-        if dense is None:  # the whole product, stacked, batched over P in "pqr"
-            shape = (dp if q_lead else 1, dq * d, -1)
-            block.stacked_dot(*(a.view(np.float64).reshape(shape) for a in (x, y)), inverse)
-        elif inverse:
-            dense = dense.T
-        if not sectors:
-            feeds = [prior[s].feeds[r] for s, _, _, r in routes] if inverse else block.feeds
-        elif dense is None:
-            own = block.cols if inverse else block.row_at
-            feeds = [own[route[1]] for route in routes]
+    def qpr(tensor, layout: str) -> np.ndarray:  # the (Q, P, R) view
+        return tensor.transpose(_AXES[layout])
+
+    def cut(shapes, layout: str, buffer=None) -> list:  # from the next state buffer
+        if buffer is None:
+            states.reverse()
+            buffer = states[0]
+        sizes = [dq * dp * rest for dq, dp, rest in shapes]
+        if sum(sizes) != size:
+            raise RuntimeError(f"sectors hold {sum(sizes)} entries, not {size}")
+        starts = list(accumulate(sizes, initial=0))
+        return [stored(buffer[a:b], s, layout) for s, a, b in zip(shapes, starts, starts[1:])]
+
+    def relayout(state: list, old: str, new: str) -> list:
+        moved = cut([qpr(t, old).shape for t in state], new)
+        for src, dst in zip(state, moved):
+            emit(_SET, qpr(dst, new), Ellipsis, qpr(src, old))
+        return moved
+
+    def gather(state: list, old: str, k: int) -> list:  # step k's operands, stacked
+        ops = cut([(dq * d, dp, rests[k]) for _, dq, dp, _ in steps[k].sources], layouts[k])
+        for (_, _, _, routes), op, block in zip(steps[k].sources, ops, blocks[k]):
+            for t, rows, paths in routes:
+                at = rows if block.dense is not None else block.row_at[rows]
+                emit(_SET, qpr(op, layouts[k]), at, qpr(state[t], old)[:, paths])
+        return ops
+
+    def cg_step(state: list, k: int) -> list:
+        step, rest, layout = steps[k], rests[k], layouts[k]
+        q_lead = (slice(None),) * layout.index("q")  # the axes before Q
+        p_lead = (slice(None),) * layout.index("p")  # the axes before P
+        def real(tensor):  # its float64 view, Q moved to axis 1
+            return (tensor if layout[1] == "q" else tensor.swapaxes(0, 1)).view(np.float64)
+        sectors = k == 1 if inverse else k == n - 1  # the result in natural order
+        if not inverse:
+            result = cut([(dq, dp, rest) for _, dq, dp in step.targets], layout)
+            pieces = [routes for *_, routes in step.sources]
+        elif not sectors and layouts[k - 1] == layout:
+            shapes = [(dq * d, dp, d * rest) for _, dq, dp, _ in steps[k - 1].sources]
+            result, pieces, prior = cut(shapes, layout), steps[k - 1].incoming, blocks[k - 1]
         else:
-            feeds = repeat(None)
-        if inverse:
-            for (s, rows, paths, _), feed in zip(routes, feeds):
-                dest, at = result[s], _real_q1(x[p_lead + (paths,)], layout)
-                width = dest.shape[len(p_lead)]
-                if feed is None:  # its rows of the predecessor's operand, in order
-                    dest = dest[q_lead + (rows,)]
-                    dest = dest.reshape(_stored((dq * d, width, rest), layout))
-                    np.matmul(dense, at, out=_real_q1(dest, layout))
-                    continue
-                piece = y[p_lead + (paths,)]
-                if dense is not None:
-                    np.matmul(dense, at, out=_real_q1(piece, layout))
-                height = dest.shape[len(q_lead)] * d  # its rows times the freed qudit
-                dest = dest.reshape(_stored((height, width, rest), layout))
-                dest[q_lead + (feed,)] = piece
-            continue
-        operand = _real_q1(x, layout)
-        for (t, rows, paths), feed in zip(routes, feeds):
-            dest = result[t][p_lead + (paths,)]
-            if feed is None:  # the target's rows, in order
-                np.matmul(dense[rows], operand, out=_real_q1(dest, layout))
+            sectors = True
+            result = cut([(dq, dp, d * rest) for _, dq, dp, _ in step.sources], layout)
+            pieces = [((s, slice(None), slice(None), None),) for s in range(len(result))]
+        for (_, dq, dp, _), x, block, routes in zip(step.sources, state, blocks[k], pieces):
+            if not inverse:  # the next qudit joins Q by a free reshape
+                x = stored(x, (dq * d, dp, rest), layout)
+            dense = block.dense
+            y = None if product is None else product[: x.size].reshape(x.shape)
+            if dense is None:  # the whole product, stacked, batched over P in "pqr"
+                shape = (dp if q_lead else 1, dq * d, -1)
+                operands = (a.view(np.float64).reshape(shape) for a in (x, y))
+                block.stacked_dot(*operands, inverse, lambda *args: emit(np.matmul, *args))
+            elif inverse:
+                dense = dense.T
+            if not sectors:
+                feeds = [prior[s].feeds[r] for s, _, _, r in routes] if inverse else block.feeds
+            elif dense is None:
+                feeds = [(block.cols if inverse else block.row_at)[r[1]] for r in routes]
+            else:
+                feeds = repeat(None)
+            if inverse:
+                for (s, rows, paths, _), feed in zip(routes, feeds):
+                    dest, at = result[s], real(x[p_lead + (paths,)])
+                    width = dest.shape[len(p_lead)]
+                    if feed is None:  # its rows of the predecessor's operand, in order
+                        dest = stored(dest[q_lead + (rows,)], (dq * d, width, rest), layout)
+                        emit(np.matmul, dense, at, real(dest))
+                        continue
+                    piece = y[p_lead + (paths,)]
+                    if dense is not None:
+                        emit(np.matmul, dense, at, real(piece))
+                    height = dest.shape[len(q_lead)] * d  # its rows times the freed qudit
+                    dest = stored(dest, (height, width, rest), layout)
+                    emit(_SET, dest, q_lead + (feed,), piece)
                 continue
-            if dense is not None:
-                np.matmul(dense[rows], operand, out=_real_q1(y[q_lead + (rows,)], layout))
-            f = 1 if sectors else d  # the next qudit joins the target's rows
-            dest = dest.reshape(_stored((len(feed), dp, rest // f), layout))
-            src = y.reshape(_stored((dq * d * f, dp, rest // f), layout))
-            if dest.flags.c_contiguous:
-                np.take(src, feed, axis=len(q_lead), out=dest, mode="clip")
-            else:  # np.take would copy a strided `out` in and back
-                dest[...] = np.take(src, feed, axis=len(q_lead), mode="clip")
-    return result
+            for (t, rows, paths), feed in zip(routes, feeds):
+                dest = result[t][p_lead + (paths,)]
+                if feed is None:  # the target's rows, in order
+                    emit(np.matmul, dense[rows], real(x), real(dest))
+                    continue
+                if dense is not None:
+                    emit(np.matmul, dense[rows], real(x), real(y[q_lead + (rows,)]))
+                f = 1 if sectors else d  # the next qudit joins the target's rows
+                dest = stored(dest, (len(feed), dp, rest // f), layout)
+                emit(_take, stored(y, (dq * d * f, dp, rest // f), layout), feed, len(q_lead), dest)
+        return result
+
+    if not inverse:
+        layout = layouts[1]
+        state = cut([(d * d, 1, rests[1])], layout, x.reshape(-1))  # the operand of (1)
+        if (first := blocks[1][0]).dense is None:  # into its block's stacked order
+            source, state = state[0], cut([(d * d, 1, rests[1])], layout)
+            emit(_take, source, first.cols, layout.index("q"), state[0])
+        for k in range(1, n):
+            if layout != layouts[k]:
+                state, layout = relayout(state, layout, layouts[k]), layouts[k]
+            state = cg_step(state, k)
+        if layout != row_layout:
+            relayout(state, layout, row_layout)
+    else:
+        state = cut([(dq, dp, m) for _, dq, dp in steps[-1].targets], row_layout, x.reshape(-1))
+        state = gather(state, row_layout, n - 1)
+        for k in range(n - 1, 0, -1):
+            state = cg_step(state, k)
+            if k > 1 and layouts[k - 1] != layouts[k]:
+                state = gather(state, layouts[k], k - 1)
+    if states[0].base is not out:
+        raise RuntimeError(f"{passes} passes do not end in the output")
+    return None if calls is None else tuple(calls)
+
+
+class _Program:
+    """The cascade at one (n, d, m, dtype) and its workspace (see the module
+    docstring), with weak references to its blocks; its lock marks it busy."""
+
+    def __init__(self, n: int, d: int, m: int, dtype, steps, blocks):
+        for block in (block for step in blocks[1:-1] for block in step):
+            block.feeds  # built and checked before any buffer
+        self.shape, self.steps, self.calls, self.lock = (n, d, m), steps, {}, Lock()
+        self.refs = [weakref.ref(block) for step in blocks[1:] for block in step]
+        self.grouped, self.work = any(ref().dense is None for ref in self.refs), None
+
+    def built_from(self, steps, blocks) -> bool:
+        now = (block for step in blocks[1:] for block in step)
+        return all(map(is_, steps, self.steps)) and all(r() is b for r, b in zip(self.refs, now))
+
+    def run(self, x: np.ndarray, direction: str, blocks) -> np.ndarray:
+        """The cascade on x, (d^n, m) contiguous: walked, recorded, replayed."""
+        bases = (x, np.empty_like(x), np.empty(x.size, x.dtype) if self.grouped else None)
+        if self.calls.get(direction) is None:
+            if (record := direction in self.calls) and self.work is None:
+                self.work = _workspace(x.size, x.dtype)
+            work = np.empty(x.size, x.dtype) if self.work is None else self.work
+            args = (self.steps, blocks, direction == "inverse", work, record, *bases)
+            self.calls[direction] = _compile(*self.shape, *args)
+            return bases[1]
+        for fn, args, binds in self.calls[direction]:
+            if binds:
+                args = list(args)
+                for i, base, offset, shape, strides, dtype in binds:
+                    args[i] = np.ndarray(shape, dtype, bases[base], offset, strides)
+            fn(*args)
+        return bases[1]
 
 
 def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitary:
@@ -365,31 +404,20 @@ def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitar
     for a in range(0, dim, _PANEL):
         w = min(_PANEL, dim - a)
         matrix[:, a : a + w] = schur_apply(np.eye(dim, w, -a), n, d, max_dim=dim)
-    blocks = []
-    start = 0
-    for lam, dq, dp in steps[-1].targets:
-        blocks.append((lam, start, dq, dp))
-        start += dq * dp
+    starts = accumulate((dq * dp for _, dq, dp in steps[-1].targets), initial=0)
+    blocks = tuple((lam, a, dq, dp) for (lam, dq, dp), a in zip(steps[-1].targets, starts))
     matrix.setflags(write=False)
-    return SchurUnitary(n, d, matrix, tuple(schur_labels(n, d)), tuple(blocks))
+    return SchurUnitary(n, d, matrix, tuple(schur_labels(n, d)), blocks)
 
 
 def schur_labels(n: int, d: int) -> list[tuple[Partition, GzPattern, YyPath]]:
     """Row labels of the Schur basis in canonical row order."""
-    out = []
-    for lam in enumerate_partitions(d, n):
-        for q in enumerate_gz(lam, d):
-            for p in enumerate_paths(lam):
-                out.append((lam, q, p))
-    return out
+    lams = enumerate_partitions(d, n)
+    return [(lam, q, p) for lam in lams for q in enumerate_gz(lam, d) for p in enumerate_paths(lam)]
 
 
 def schur_apply(
-    x: np.ndarray,
-    n: int,
-    d: int,
-    direction: str = "forward",
-    max_dim: int = DEFAULT_MAX_DIM,
+    x: np.ndarray, n: int, d: int, direction: str = "forward", max_dim: int = DEFAULT_MAX_DIM
 ) -> np.ndarray:
     """U_Sch @ x, or U_Sch^T @ x for the inverse, through the cascade.
 
@@ -412,47 +440,19 @@ def schur_apply(
     m = shape[1] if x.ndim == 2 else 1
     dtype = np.complex128 if np.iscomplexobj(x) else np.float64
     x = np.ascontiguousarray(x, dtype).reshape(dim, m)
-    if n == 1:
+    if n == 1 or m == 0:
         return x.reshape(shape).copy()
-    rests = [d ** (n - k - 1) * m for k in range(n)]  # the rest after step k
-    steps = [_step(k, d) for k in range(n)]
-    layouts = {k: steps[k].layout(rests[k]) for k in range(1, n)}
-    row_layout = "qrp" if m == 1 else "qpr"  # its sectors lie in row order
+    steps = tuple(_step(k, d) for k in range(n))
     blocks = [None] + [[cg_block(src[0], d) for src in step.sources] for step in steps[1:]]
-    for block in (block for step in blocks[1:-1] for block in step):
-        block.feeds  # built and checked before any buffer
-    grouped = any(block.dense is None for step in blocks[1:] for block in step)
-    # Every pass reads the state from one buffer and writes the other;
-    # product holds whole-block products where some block is grouped.
-    buffers = [np.empty(dim * m, dtype) for _ in range(2)]
-    product = np.empty(dim * m, dtype) if grouped else None
-
-    def spare() -> np.ndarray:
-        buffers.reverse()
-        return buffers[0]
-
-    if direction == "forward":
-        layout = layouts[1]
-        state = _sectors([(d * d, 1, rests[1])], layout, x)  # the operand of (1)
-        if (first := blocks[1][0]).dense is None:  # into its block's stacked order
-            into, axis = spare().reshape(state[0].shape), layout.index("q")
-            state = [np.take(state[0], first.cols, axis=axis, out=into, mode="clip")]
-        for k in range(1, n):
-            if layout != layouts[k]:
-                state = _relayout(state, layout, layouts[k], spare())
-                layout = layouts[k]
-            state = _cg_step(state, k, d, rests[k], spare(), product, blocks, inverse=False)
-        if layout != row_layout:
-            _relayout(state, layout, row_layout, spare())
-        return buffers[0].reshape(shape)
-    state = _sectors([(dq, dp, m) for _, dq, dp in steps[-1].targets], row_layout, x)
-    state = _gather(state, row_layout, steps[-1], blocks[-1], d, m, spare())
-    for k in range(n - 1, 0, -1):
-        state = _cg_step(state, k, d, rests[k], spare(), product, blocks, inverse=True)
-        if k > 1 and layouts[k - 1] != layouts[k]:
-            step, rest = steps[k - 1], rests[k - 1]
-            state = _gather(state, layouts[k], step, blocks[k - 1], d, rest, spare())
-    return buffers[0].reshape(shape)
+    program = (kept := _kept(n, d, m, dtype))[0]
+    if program is None or not program.built_from(steps, blocks):  # compile and keep
+        program = kept[0] = _Program(n, d, m, dtype, steps, blocks)
+    if not program.lock.acquire(blocking=False):  # busy: compile a private one
+        return _Program(n, d, m, dtype, steps, blocks).run(x, direction, blocks).reshape(shape)
+    try:
+        return program.run(x, direction, blocks).reshape(shape)
+    finally:
+        program.lock.release()
 
 
 def compress_p(state: Mapping) -> dict:

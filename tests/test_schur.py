@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -216,7 +218,8 @@ def test_cascade_matches_matrix_in_every_layout():
 def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
     """The sector tensors start uninitialised, so a route missing from (or
     repeated in) a step's plan must raise when the plan is built, not leave
-    garbage in a sector. The plan is corrupted through its input: one
+    garbage in a sector, also where a warm program of that size was compiled
+    from the plan before the corruption. The plan is corrupted through its input: one
     source's row layout at step 3 loses or repeats its last route, or
     ("swap") at step 4 (3,1) repeats its route into (3,1,1) while (2,1,1)
     drops its own, of as many paths, so the widths into (3,1,1) still add
@@ -229,6 +232,7 @@ def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
         "unitary": lambda: schur_unitary(n, d),
     }[route]
     run()
+    run()  # the second call records a program from the plans
     real = schur.cg_rows
     source = enumerate_partitions(d, 3)[1]
 
@@ -258,11 +262,15 @@ def test_cascade_rejects_a_wrong_composed_index(monkeypatch):
     (CgBlock.feeds) with np.take(mode="clip"), which would clip a bad
     entry silently. One stacked column of the grouped block of (3) at
     d = 4 is repeated, so the index from (2) into it is not a permutation:
-    schur_apply must raise naming the step and lambda before it cuts any
-    buffer into sectors."""
+    schur_apply must raise naming the step and lambda before it allocates
+    a workspace, although a warm program of that size is kept (it was
+    compiled from the blocks the cleared cache dropped)."""
     n, d = 5, 4
     v = np.random.default_rng(26).standard_normal(d**n)
-    schur_apply(v, n, d)
+    for direction in ("forward", "inverse"):
+        for _ in range(2):  # the second call records a program
+            schur_apply(v, n, d, direction)
+    assert schur._kept(n, d, 1, np.float64)[0].work is not None
     real = clebsch_gordan.cg_block
     assert real(P(3), d).dense is None
 
@@ -274,20 +282,120 @@ def test_cascade_rejects_a_wrong_composed_index(monkeypatch):
         cols[-1] = cols[0]
         return dataclasses.replace(block, cols=cols)
 
-    cut = []
-    sectors = schur._sectors
+    allocated = []
+    workspace = schur._workspace
     real.cache_clear()
     monkeypatch.setattr(clebsch_gordan, "cg_block", corrupted)
-    monkeypatch.setattr(schur, "_sectors", lambda *args: cut.append(args) or sectors(*args))
+    monkeypatch.setattr(
+        schur, "_workspace", lambda *args: allocated.append(args) or workspace(*args)
+    )
     try:
         for direction in ("forward", "inverse"):
             with pytest.raises(RuntimeError, match="step 2: the blocks after lambda = 2 "):
                 schur_apply(v, n, d, direction)
-        assert cut == []
+        assert allocated == []
     finally:
         monkeypatch.undo()
         real.cache_clear()
     assert np.max(np.abs(schur_apply(schur_apply(v, n, d), n, d, "inverse") - v)) < 1e-12
+
+
+WARM_SIZES = [(2, 2), (5, 2), (9, 2), (3, 3), (5, 3), (4, 4), (3, 8)]
+
+
+def test_warm_program_never_leaks_its_workspace():
+    """A program is kept per (n, d, m, dtype): the first call in a direction
+    walks the cascade, the second records the walk, later calls replay it,
+    and both directions share the workspace kept between calls. Each call,
+    on its own input, must match the dense matrix, a replay on zeros must
+    return exact zeros whatever the workspace held, an earlier output must
+    keep its bits through later calls, and no output shares memory with
+    another output or with its input (read-only on the recording call)."""
+    rng = np.random.default_rng(27)
+    for n, d in WARM_SIZES:
+        dim, m = d**n, schur_unitary(n, d).matrix
+        for cols, dtype in itertools.product((None, 1, 3), (np.float64, np.complex128)):
+            shape, case = (dim,) if cols is None else (dim, cols), (n, d, cols, dtype)
+            outs = []  # (output, a copy made when it was returned)
+            for direction, ref in (("forward", m), ("inverse", m.T)):
+                for call in range(3):  # walked, recorded, replayed
+                    x = rng.standard_normal(shape).astype(dtype)
+                    if dtype is np.complex128:
+                        x += 1j * rng.standard_normal(shape)
+                    x.setflags(write=call != 1)
+                    out = schur_apply(x, n, d, direction)
+                    if not outs:
+                        program = schur._kept(n, d, cols or 1, dtype)[0]
+                    assert out.dtype == dtype and out.shape == shape, case
+                    assert np.max(np.abs(out - ref @ x)) < 1e-13, (case, direction, call)
+                    assert not np.shares_memory(out, x), case
+                    outs.append((out, out.copy()))
+                zeros = schur_apply(np.zeros(shape, dtype), n, d, direction)
+                assert not zeros.any(), (case, direction)
+            kept = schur._kept(n, d, cols or 1, dtype)[0]
+            assert kept is program and set(kept.calls) == {"forward", "inverse"}, case
+            for i, (out, copy) in enumerate(outs):
+                assert np.array_equal(out, copy), case
+                assert not any(np.shares_memory(out, later) for later, _ in outs[i + 1 :]), case
+
+
+def test_threads_get_serial_bits(monkeypatch):
+    """4 threads x 10 calls at (12,2) and (9,4), both directions, return the
+    bits of serial calls. A call that finds the kept program busy compiles
+    a private one: shown first with the kept program's lock held, then by
+    the threads, which collide at random."""
+    import threading
+
+    sizes = [(12, 2), (9, 4)]
+    rng = np.random.default_rng(28)
+    inputs = {
+        (n, d): [rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n) for _ in range(5)]
+        for n, d in sizes
+    }
+    serial = {
+        (n, d, direction, i): schur_apply(x, n, d, direction, max_dim=d**n)
+        for (n, d), xs in inputs.items()
+        for direction in ("forward", "inverse")
+        for i, x in enumerate(xs)
+    }
+    kept = schur._kept(12, 2, 1, np.complex128)[0]
+    with kept.lock:  # busy: the call compiles a private program
+        out = schur_apply(inputs[(12, 2)][0], 12, 2, max_dim=2**12)
+    assert np.array_equal(out.view(np.uint8), serial[(12, 2, "forward", 0)].view(np.uint8))
+    assert schur._kept(12, 2, 1, np.complex128)[0] is kept
+
+    built = []
+    program = schur._Program
+    monkeypatch.setattr(schur, "_Program", lambda *args: built.append(args) or program(*args))
+    start, failures = threading.Barrier(4), []
+
+    def worker(w: int) -> None:
+        start.wait()
+        for call in range(10):
+            for n, d in sizes:
+                for direction in ("forward", "inverse"):
+                    i = (w + call) % 5
+                    out = schur_apply(inputs[(n, d)][i], n, d, direction, max_dim=d**n)
+                    ref = serial[(n, d, direction, i)]
+                    if not np.array_equal(out.view(np.uint8), ref.view(np.uint8)):
+                        failures.append((w, call, n, d, direction))
+
+    kept = {size: schur._kept(*size, 1, np.complex128)[0] for size in sizes}
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that calls collide
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    # the kept programs stay kept; any other program was a private one
+    assert kept == {size: schur._kept(*size, 1, np.complex128)[0] for size in sizes}
+    assert all(args[:2] in sizes for args in built)
 
 
 def test_schur_apply_batches_match_matrix():
@@ -390,6 +498,10 @@ def test_apply_bits_are_pinned_both_directions():
             assert out.dtype == (np.complex128 if is_complex else np.float64)
             digest_now = hashlib.sha256(out.tobytes()).hexdigest()
             assert digest_now == digest, (direction, n, d, cols, is_complex)
+            for call in ("recorded", "replayed"):  # the program's later calls
+                again = schur_apply(y, n, d, direction, max_dim=d**n)
+                digest_now = hashlib.sha256(again.tobytes()).hexdigest()
+                assert digest_now == digest, (call, direction, n, d, cols, is_complex)
 
 
 def test_qudit_apply_bits_are_pinned():
@@ -415,6 +527,9 @@ def test_qudit_apply_bits_are_pinned():
         y = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
         out = schur_apply(y, n, d, direction, max_dim=d**n)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (n, d, direction)
+        for call in ("recorded", "replayed"):  # the program's later calls
+            again = schur_apply(y, n, d, direction, max_dim=d**n)
+            assert hashlib.sha256(again.tobytes()).hexdigest() == digest, (call, n, d, direction)
 
 
 def _check_matrix_free(n, d, seed):
