@@ -8,28 +8,60 @@ The cascade is carried per lambda sector: after k steps the state is a list
 of sector tensors aligned with enumerate_partitions(d, k), each with a GZ
 axis Q (dim Q_lambda), a path axis P (paths so far) and a rest axis R: the
 register still to be consumed, most significant qudit first, times the
-batch columns. Step k pairs each sector's GZ index with the next qudit and
-applies the CG block of lambda, whose row slice for each valid j (see
-cg_rows) lands in the sector lambda + e_j, along the routes of a plan
-(_step) built and checked once per (k, d). The sectors are stored
-paths-major, "pqr" (P, Q, R), while the path axes are narrower on average
-than the rest of the register, then "qrp" (Q, R, P) (see _Step.layout), so
-that the next qudit joins Q by a free reshape and each product writes its
-rows once, straight into its destination. A batch's rows in Schur order
-are its sectors stored (Q, P, R), "qpr", R being the m columns; a state
-(m = 1) reads the same memory as "qrp".
+batch columns. schur_apply is the one driver of the cascade: it takes a
+state or a batch of columns, in either direction, and schur_unitary is
+schur_apply on panels of identity columns. Step k pairs each sector's GZ
+index with the next qudit and applies the CG block of lambda, whose row
+slice for each valid j (see cg_rows) lands in the sector lambda + e_j. The
+routing of each step is a plan (_step), built and checked once per (k, d),
+the join of the two branching tables: each route fixes its target, its row
+slice of the block (cg_rows) and the slice of the target's path axis that
+lambda's paths fill (path_offsets, the path-rank order of the multiplicity
+register). Building a plan raises RuntimeError unless the routes into
+every target tile its path axis exactly, before any buffer is allocated,
+so the steps themselves only move data.
 
-schur_apply, the one driver of the cascade (schur_unitary applies it to
-panels of identity columns), keeps a program (_Program) per (n, d, m,
-dtype): a direction's second call records its walk as a flat tuple of
-numpy calls on views cut then (_compile), which later calls replay. The
-passes alternate between the workspace, one state buffer of d^n * m
-entries kept for both directions, and a fresh output, written last, so
-the result never shares memory with the workspace. A replay binds only
-the views into its input, its output and, where a block is weight-grouped
-(never at d = 2), a fresh product buffer. The _KEPT programs used last are
-kept; one runs only while _step and cg_block return the objects it was
-compiled from, and a call finding it busy uses a private one.
+The cascade stores the sectors in one of two layouts, chosen so that
+consuming the next qudit is a free reshape and each product writes its rows
+once, straight into a slab of a preallocated target:
+
+- "pqr", paths-major (P, Q, R): a route's product is batched over P.
+- "qrp", (Q, R, P): a route's product is batched over R.
+
+A step uses "pqr" while the sources' path axes are narrower on average than
+the rest of the register, sum(dim_P) < sectors * d^(n-k-1) * m, and "qrp"
+from there on; the state changes layout by one transpose. One walk,
+_compile, runs a step in either direction over the same plan: it multiplies
+each lambda's operand by its block, or by the transposed block for the
+inverse, and writes the product in pieces read off the routes, each once
+and straight into its destination. Between steps both directions hold the
+next step's operands, one (Q*d, P, R) tensor per lambda in its block's
+stacked order (see CgBlock): forward the columns' order, inverse the rows';
+a dense block's is the natural order. Each route writes its piece into the
+positions it fills through one composed index (CgBlock.feeds), so a
+weight-grouped block multiplies its operand where it lies, batched over P
+in "pqr". The inverse walks the plans backwards. Beyond the steps' own
+writes, each direction moves the whole state only at entry, at exit and
+where the layout changes.
+
+A batch's rows in Schur order are its sectors stored (Q, P, R), the "qpr"
+layout, with R the m columns; a state (m = 1) reads the same memory as
+"qrp".
+
+schur_apply compiles the cascade once per (n, d, m, dtype) into a program
+(_Program) and keeps the _KEPT programs used last. A direction's first
+_WALKS calls walk the cascade; the next walks it again and records each
+numpy call with its operands (_compile); later calls replay the record,
+binding only the views into their input, a fresh output and, where a
+block is weight-grouped (never at d = 2), a fresh product buffer. The
+passes alternate between a state buffer and the output, written last, so
+the result never shares memory with the state buffer. The kept programs
+all run in one workspace (_Workspace), that state buffer kept between
+calls for both directions and all sizes: it holds the largest state run,
+at most _KEEP_BYTES, and a larger cascade walks with a temporary buffer
+on every call. A program runs only while _step and cg_block return the
+objects it was compiled from; a call that finds the workspace busy, in
+another thread, runs a private program that is not kept.
 """
 
 from __future__ import annotations
@@ -58,7 +90,13 @@ from .bases import (
 )
 from .clebsch_gordan import cg_block, cg_rows
 from .jsonform import lists, pairs
-from .partitions import Partition, dim_P, dim_Q, enumerate_partitions, format_partition
+from .partitions import (
+    Partition,
+    dim_P,
+    dim_Q,
+    enumerate_partitions,
+    format_partition,
+)
 
 DEFAULT_MAX_DIM = 4096
 # Identity columns per schur_apply call in schur_unitary.
@@ -119,7 +157,9 @@ def _check_size(n: int, d: int, max_dim: int) -> int:
         raise ValueError("n and d must be >= 1")
     required = d**n
     if required > max_dim:
-        raise ResourceLimitError(f"d^n = {required} exceeds the configured bound {max_dim}")
+        raise ResourceLimitError(
+            f"d^n = {required} exceeds the configured bound {max_dim}"
+        )
     return required
 
 
@@ -130,6 +170,8 @@ def _check_size(n: int, d: int, max_dim: int) -> int:
 _AXES = {"pqr": (1, 0, 2), "qrp": (0, 2, 1), "qpr": (0, 1, 2)}
 _SET = np.ndarray.__setitem__  # a copy, gather or scatter: dest[key] = src
 _KEPT = 4  # programs kept, the least recently used dropped first
+_KEEP_BYTES = 1 << 24  # the largest workspace kept between calls
+_WALKS = 2  # the calls in a direction that walk the cascade before one records it
 
 
 def _take(src: np.ndarray, index, axis: int, out: np.ndarray) -> None:
@@ -140,14 +182,32 @@ def _take(src: np.ndarray, index, axis: int, out: np.ndarray) -> None:
         out[...] = src.take(index, axis, None, "clip")
 
 
-def _workspace(entries: int, dtype) -> np.ndarray:
-    """The buffer a program keeps between calls (see _Program)."""
-    return np.empty(entries, dtype)
-
-
 @lru_cache(maxsize=_KEPT)
 def _kept(n: int, d: int, m: int, dtype) -> list:  # [the program kept], or [None]
     return [None]
+
+
+class _Workspace:
+    """The state buffer of every call to a kept program, kept between calls;
+    a call holds its lock while it runs a kept program. Growing it drops
+    the records that hold views of the old buffer."""
+
+    def __init__(self):
+        self.lock, self.buffer, self.users = Lock(), np.empty(0, np.uint8), weakref.WeakSet()
+
+    def fit(self, x: np.ndarray, user: _Program | None) -> np.ndarray:
+        """A state buffer of x's size and dtype; user, if any, records into it."""
+        if x.nbytes > self.buffer.nbytes:
+            for program in self.users:  # its next call in each direction records anew
+                program.calls = dict.fromkeys(program.calls, _WALKS)
+            self.users.clear()
+            self.buffer = np.empty(x.nbytes, np.uint8)
+        if user is not None:
+            self.users.add(user)
+        return self.buffer[: x.nbytes].view(x.dtype)
+
+
+_WORK = _Workspace()
 
 
 class _Step(NamedTuple):
@@ -199,13 +259,17 @@ def _step(k: int, d: int) -> _Step:
             raise RuntimeError(
                 f"step {k}: the routes into sector {t} do not tile its {dp} paths: {spans}"
             )
-    paths = sum(dp for _, _, dp, _ in sources)
-    return _Step(tuple(sources), targets, tuple(map(tuple, incoming)), paths)
+    return _Step(
+        tuple(sources),
+        targets,
+        tuple(map(tuple, incoming)),
+        sum(dp for _, _, dp, _ in sources),
+    )
 
 
 def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record: bool, *bases):
     """One direction of the cascade, run on `bases` (x, out, product) over
-    the workspace `work` and, if `record`, returned as the flat tuple of its
+    the state buffer `work` and, if `record`, returned as the flat tuple of its
     numpy calls (function, arguments, binds): products, takes (_take) and
     index assignments (_SET). Step k multiplies each lambda's operand, in
     its block's stacked order, by blocks[k] (inverse: the transpose) and
@@ -223,7 +287,7 @@ def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record:
     passes += 1 if inverse else (blocks[1][0].dense is None) + (layouts[n - 1] != row_layout)
     states = [work, out.reshape(-1)][:: 1 if passes % 2 else -1]  # the last: out
     calls = [] if record else None
-    owners = [b if b is None or b.base is None else b.base for b in bases]  # a view's base
+    owners = [b if b is None or b.base is None else b.base for b in (work, *bases)]
     origins = [b.__array_interface__["data"][0] for b in bases if b is not None]
 
     def emit(fn, *args):  # runs the call, then records it, to bind x, out, product anew
@@ -232,9 +296,9 @@ def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record:
             return
         args, binds = list(args), []
         for i, a in enumerate(args):
-            if not isinstance(a, np.ndarray) or a.base is work:
-                continue  # an index or a view of the workspace
-            base = [j for j, b in enumerate(owners) if b is not None and a.base is b]
+            if not isinstance(a, np.ndarray) or a.base is owners[0]:
+                continue  # an index or a view of the state buffer
+            base = [j for j, b in enumerate(owners[1:]) if b is not None and a.base is b]
             if not base and a.flags.writeable:  # a block's arrays are read-only
                 raise RuntimeError(f"{fn.__name__}: an operand is not a view of a buffer")
             for j in base:
@@ -359,29 +423,34 @@ def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record:
 
 
 class _Program:
-    """The cascade at one (n, d, m, dtype) and its workspace (see the module
-    docstring), with weak references to its blocks; its lock marks it busy."""
+    """The cascade at one (n, d, m, dtype) (see the module docstring), with
+    its plans, weak references to its blocks and its records by direction."""
 
     def __init__(self, n: int, d: int, m: int, dtype, steps, blocks):
         for block in (block for step in blocks[1:-1] for block in step):
             block.feeds  # built and checked before any buffer
-        self.shape, self.steps, self.calls, self.lock = (n, d, m), steps, {}, Lock()
+        self.shape, self.steps, self.calls = (n, d, m), steps, {}
         self.refs = [weakref.ref(block) for step in blocks[1:] for block in step]
-        self.grouped, self.work = any(ref().dense is None for ref in self.refs), None
+        self.grouped = any(ref().dense is None for ref in self.refs)
 
     def built_from(self, steps, blocks) -> bool:
         now = (block for step in blocks[1:] for block in step)
         return all(map(is_, steps, self.steps)) and all(r() is b for r, b in zip(self.refs, now))
 
-    def run(self, x: np.ndarray, direction: str, blocks) -> np.ndarray:
-        """The cascade on x, (d^n, m) contiguous: walked, recorded, replayed."""
+    def run(self, x: np.ndarray, direction: str, blocks, work: _Workspace | None) -> np.ndarray:
+        """The cascade on x, (d^n, m) contiguous: walked or recorded over
+        work (None, or x above _KEEP_BYTES: a temporary buffer, and never
+        recorded), or replayed."""
         bases = (x, np.empty_like(x), np.empty(x.size, x.dtype) if self.grouped else None)
-        if self.calls.get(direction) is None:
-            if (record := direction in self.calls) and self.work is None:
-                self.work = _workspace(x.size, x.dtype)
-            work = np.empty(x.size, x.dtype) if self.work is None else self.work
-            args = (self.steps, blocks, direction == "inverse", work, record, *bases)
-            self.calls[direction] = _compile(*self.shape, *args)
+        walks = self.calls.get(direction, 0)
+        if isinstance(walks, int):  # not recorded yet
+            if work is None or x.nbytes > _KEEP_BYTES:
+                state, record = np.empty(x.size, x.dtype), False
+            else:
+                record = walks == _WALKS
+                state = work.fit(x, self if record else None)
+            args = (self.steps, blocks, direction == "inverse", state, record, *bases)
+            self.calls[direction] = _compile(*self.shape, *args) or walks + 1
             return bases[1]
         for fn, args, binds in self.calls[direction]:
             if binds:
@@ -404,20 +473,31 @@ def schur_unitary(n: int, d: int, max_dim: int = DEFAULT_MAX_DIM) -> SchurUnitar
     for a in range(0, dim, _PANEL):
         w = min(_PANEL, dim - a)
         matrix[:, a : a + w] = schur_apply(np.eye(dim, w, -a), n, d, max_dim=dim)
-    starts = accumulate((dq * dp for _, dq, dp in steps[-1].targets), initial=0)
-    blocks = tuple((lam, a, dq, dp) for (lam, dq, dp), a in zip(steps[-1].targets, starts))
+    blocks = []
+    start = 0
+    for lam, dq, dp in steps[-1].targets:
+        blocks.append((lam, start, dq, dp))
+        start += dq * dp
     matrix.setflags(write=False)
-    return SchurUnitary(n, d, matrix, tuple(schur_labels(n, d)), blocks)
+    return SchurUnitary(n, d, matrix, tuple(schur_labels(n, d)), tuple(blocks))
 
 
 def schur_labels(n: int, d: int) -> list[tuple[Partition, GzPattern, YyPath]]:
     """Row labels of the Schur basis in canonical row order."""
-    lams = enumerate_partitions(d, n)
-    return [(lam, q, p) for lam in lams for q in enumerate_gz(lam, d) for p in enumerate_paths(lam)]
+    out = []
+    for lam in enumerate_partitions(d, n):
+        for q in enumerate_gz(lam, d):
+            for p in enumerate_paths(lam):
+                out.append((lam, q, p))
+    return out
 
 
 def schur_apply(
-    x: np.ndarray, n: int, d: int, direction: str = "forward", max_dim: int = DEFAULT_MAX_DIM
+    x: np.ndarray,
+    n: int,
+    d: int,
+    direction: str = "forward",
+    max_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
     """U_Sch @ x, or U_Sch^T @ x for the inverse, through the cascade.
 
@@ -444,15 +524,16 @@ def schur_apply(
         return x.reshape(shape).copy()
     steps = tuple(_step(k, d) for k in range(n))
     blocks = [None] + [[cg_block(src[0], d) for src in step.sources] for step in steps[1:]]
-    program = (kept := _kept(n, d, m, dtype))[0]
-    if program is None or not program.built_from(steps, blocks):  # compile and keep
-        program = kept[0] = _Program(n, d, m, dtype, steps, blocks)
-    if not program.lock.acquire(blocking=False):  # busy: compile a private one
-        return _Program(n, d, m, dtype, steps, blocks).run(x, direction, blocks).reshape(shape)
+    if not _WORK.lock.acquire(blocking=False):  # busy: compile a private program
+        program = _Program(n, d, m, dtype, steps, blocks)
+        return program.run(x, direction, blocks, None).reshape(shape)
     try:
-        return program.run(x, direction, blocks).reshape(shape)
+        program = (kept := _kept(n, d, m, dtype))[0]
+        if program is None or not program.built_from(steps, blocks):  # compile and keep
+            program = kept[0] = _Program(n, d, m, dtype, steps, blocks)
+        return program.run(x, direction, blocks, _WORK).reshape(shape)
     finally:
-        program.lock.release()
+        _WORK.lock.release()
 
 
 def compress_p(state: Mapping) -> dict:

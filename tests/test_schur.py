@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -231,8 +232,8 @@ def test_cascade_step_rejects_a_wrong_route_table(monkeypatch, change, route):
         "inverse": lambda: schur_apply(v, n, d, "inverse"),
         "unitary": lambda: schur_unitary(n, d),
     }[route]
-    run()
-    run()  # the second call records a program from the plans
+    for _ in WARM_CALLS[:-1]:  # the last of these records a program from the plans
+        run()
     real = schur.cg_rows
     source = enumerate_partitions(d, 3)[1]
 
@@ -262,15 +263,16 @@ def test_cascade_rejects_a_wrong_composed_index(monkeypatch):
     (CgBlock.feeds) with np.take(mode="clip"), which would clip a bad
     entry silently. One stacked column of the grouped block of (3) at
     d = 4 is repeated, so the index from (2) into it is not a permutation:
-    schur_apply must raise naming the step and lambda before it allocates
-    a workspace, although a warm program of that size is kept (it was
-    compiled from the blocks the cleared cache dropped)."""
+    schur_apply must raise naming the step and lambda before it runs a
+    program, which allocates every buffer of a call, although a program of
+    that size is kept with both directions recorded (it was compiled from
+    the blocks the cleared cache dropped)."""
     n, d = 5, 4
     v = np.random.default_rng(26).standard_normal(d**n)
     for direction in ("forward", "inverse"):
-        for _ in range(2):  # the second call records a program
+        for _ in WARM_CALLS[:-1]:  # the last of these records a program
             schur_apply(v, n, d, direction)
-    assert schur._kept(n, d, 1, np.float64)[0].work is not None
+    assert all(schur._kept(n, d, 1, np.float64)[0].calls.values())
     real = clebsch_gordan.cg_block
     assert real(P(3), d).dense is None
 
@@ -282,18 +284,16 @@ def test_cascade_rejects_a_wrong_composed_index(monkeypatch):
         cols[-1] = cols[0]
         return dataclasses.replace(block, cols=cols)
 
-    allocated = []
-    workspace = schur._workspace
+    ran = []
+    run = schur._Program.run
     real.cache_clear()
     monkeypatch.setattr(clebsch_gordan, "cg_block", corrupted)
-    monkeypatch.setattr(
-        schur, "_workspace", lambda *args: allocated.append(args) or workspace(*args)
-    )
+    monkeypatch.setattr(schur._Program, "run", lambda *args: ran.append(args) or run(*args))
     try:
         for direction in ("forward", "inverse"):
             with pytest.raises(RuntimeError, match="step 2: the blocks after lambda = 2 "):
                 schur_apply(v, n, d, direction)
-        assert allocated == []
+        assert ran == []
     finally:
         monkeypatch.undo()
         real.cache_clear()
@@ -301,12 +301,14 @@ def test_cascade_rejects_a_wrong_composed_index(monkeypatch):
 
 
 WARM_SIZES = [(2, 2), (5, 2), (9, 2), (3, 3), (5, 3), (4, 4), (3, 8)]
+# What a program does on a direction's calls, in turn (see schur._Program).
+WARM_CALLS = ["walked"] * schur._WALKS + ["recorded", "replayed"]
 
 
 def test_warm_program_never_leaks_its_workspace():
-    """A program is kept per (n, d, m, dtype): the first call in a direction
-    walks the cascade, the second records the walk, later calls replay it,
-    and both directions share the workspace kept between calls. Each call,
+    """A program is kept per (n, d, m, dtype): the first calls in a direction
+    walk the cascade, the next records the walk, later calls replay it, and
+    the kept programs share the workspace kept between calls. Each call,
     on its own input, must match the dense matrix, a replay on zeros must
     return exact zeros whatever the workspace held, an earlier output must
     keep its bits through later calls, and no output shares memory with
@@ -318,11 +320,11 @@ def test_warm_program_never_leaks_its_workspace():
             shape, case = (dim,) if cols is None else (dim, cols), (n, d, cols, dtype)
             outs = []  # (output, a copy made when it was returned)
             for direction, ref in (("forward", m), ("inverse", m.T)):
-                for call in range(3):  # walked, recorded, replayed
+                for call in WARM_CALLS:
                     x = rng.standard_normal(shape).astype(dtype)
                     if dtype is np.complex128:
                         x += 1j * rng.standard_normal(shape)
-                    x.setflags(write=call != 1)
+                    x.setflags(write=call != "recorded")
                     out = schur_apply(x, n, d, direction)
                     if not outs:
                         program = schur._kept(n, d, cols or 1, dtype)[0]
@@ -339,10 +341,44 @@ def test_warm_program_never_leaks_its_workspace():
                 assert not any(np.shares_memory(out, later) for later, _ in outs[i + 1 :]), case
 
 
+def test_warm_program_records_anew_when_the_workspace_grows(monkeypatch):
+    """The kept programs share one workspace. A larger state grows it, even
+    on a call that only walks, and drops every record holding views of the
+    old buffer, which is freed; the smaller program then records anew into
+    the new buffer and still matches the dense matrix. A state above
+    _KEEP_BYTES neither records nor grows the workspace."""
+    small, large = (5, 2), (4, 4)
+    dense = {size: schur_unitary(*size).matrix for size in (small, large, (4, 3))}
+    monkeypatch.setattr(schur, "_WORK", schur._Workspace())
+    schur._kept.cache_clear()  # no program recorded into another workspace
+    rng = np.random.default_rng(29)
+
+    def calls(n, d, count):
+        x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        for _ in range(count):
+            out = schur_apply(x, n, d)
+        assert np.max(np.abs(out - dense[(n, d)] @ x)) < 1e-13, (n, d)
+        return schur._kept(n, d, 1, np.complex128)[0]
+
+    program = calls(*small, len(WARM_CALLS))
+    assert isinstance(program.calls["forward"], tuple)
+    assert schur._WORK.buffer.nbytes == 16 * 2**5
+    old = weakref.ref(schur._WORK.buffer)
+    calls(*large, 1)  # a walk
+    assert schur._WORK.buffer.nbytes == 16 * 4**4 and old() is None
+    assert program.calls == {"forward": schur._WALKS}
+    assert calls(*small, 1) is program and isinstance(program.calls["forward"], tuple)
+
+    monkeypatch.setattr(schur, "_KEEP_BYTES", 16 * 3**4 - 1)
+    held = schur._WORK.buffer
+    assert calls(4, 3, len(WARM_CALLS)).calls == {"forward": len(WARM_CALLS)}
+    assert schur._WORK.buffer is held
+
+
 def test_threads_get_serial_bits(monkeypatch):
     """4 threads x 10 calls at (12,2) and (9,4), both directions, return the
-    bits of serial calls. A call that finds the kept program busy compiles
-    a private one: shown first with the kept program's lock held, then by
+    bits of serial calls. A call that finds the workspace busy compiles a
+    private program: shown first with the workspace's lock held, then by
     the threads, which collide at random."""
     import threading
 
@@ -359,7 +395,7 @@ def test_threads_get_serial_bits(monkeypatch):
         for i, x in enumerate(xs)
     }
     kept = schur._kept(12, 2, 1, np.complex128)[0]
-    with kept.lock:  # busy: the call compiles a private program
+    with schur._WORK.lock:  # busy: the call compiles a private program
         out = schur_apply(inputs[(12, 2)][0], 12, 2, max_dim=2**12)
     assert np.array_equal(out.view(np.uint8), serial[(12, 2, "forward", 0)].view(np.uint8))
     assert schur._kept(12, 2, 1, np.complex128)[0] is kept
@@ -498,7 +534,7 @@ def test_apply_bits_are_pinned_both_directions():
             assert out.dtype == (np.complex128 if is_complex else np.float64)
             digest_now = hashlib.sha256(out.tobytes()).hexdigest()
             assert digest_now == digest, (direction, n, d, cols, is_complex)
-            for call in ("recorded", "replayed"):  # the program's later calls
+            for call in WARM_CALLS[1:]:  # the program's later calls
                 again = schur_apply(y, n, d, direction, max_dim=d**n)
                 digest_now = hashlib.sha256(again.tobytes()).hexdigest()
                 assert digest_now == digest, (call, direction, n, d, cols, is_complex)
@@ -527,7 +563,7 @@ def test_qudit_apply_bits_are_pinned():
         y = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
         out = schur_apply(y, n, d, direction, max_dim=d**n)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (n, d, direction)
-        for call in ("recorded", "replayed"):  # the program's later calls
+        for call in WARM_CALLS[1:]:  # the program's later calls
             again = schur_apply(y, n, d, direction, max_dim=d**n)
             assert hashlib.sha256(again.tobytes()).hexdigest() == digest, (call, n, d, direction)
 
