@@ -21,7 +21,7 @@ from .bases import (
     unrank_path,
 )
 from .circuit import GateList, gate_count_report, two_level_decompose
-from .clebsch_gordan import CgBlock, cg_apply, cg_block
+from .clebsch_gordan import CgBlock, cg_block
 from .oracle import (
     ConsistencyError,
     Permutation,
@@ -67,7 +67,6 @@ __all__ = [
     "StandardTableauFilling",
     "YyPath",
     "add_box",
-    "cg_apply",
     "cg_block",
     "compress_p",
     "decode_registers",

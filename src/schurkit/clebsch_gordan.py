@@ -25,14 +25,13 @@ and the labels are assembled only when asked for.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .bases import GzPattern, enumerate_gz, format_ssyt, gz_to_ssyt
+from .bases import enumerate_gz, format_ssyt, gz_to_ssyt
 from .jsonform import lists, pairs
 from .partitions import Partition, add_box, dim_Q, format_partition, interlacing_set
 from .wigner import _row as _wigner_row
@@ -473,35 +472,3 @@ def cg_block(lam: Partition, d: int) -> CgBlock:
     stacked = _stack_by_weight(row_ids, col_ids, r.astype(np.intp), c, vals, d, lam.size + 1)
     return CgBlock(lam, d, *stacked)
 
-
-def cg_apply(state: Mapping, d: int) -> dict:
-    """Apply the lambda-controlled CG transform to a labeled amplitude vector.
-
-    Input keys are (lambda, GzPattern, i); output keys are (lambda, j,
-    GzPattern of lambda + e_j) for the nonzero output amplitudes, with the
-    lambda register retained. Norm is preserved exactly up to roundoff; an
-    unnormalized input only warns.
-    """
-    norm2 = 0.0
-    by_lam: dict[Partition, list] = {}
-    for (lam, q, i), amp in state.items():
-        if not isinstance(lam, Partition) or not isinstance(q, GzPattern):
-            raise ValueError("state keys must be (Partition, GzPattern, i)")
-        if q.d != d or not 1 <= i <= d or q.top != lam:
-            raise ValueError(f"label ({lam}, {q}, {i}) inconsistent with d={d}")
-        norm2 += abs(amp) ** 2
-        by_lam.setdefault(lam, []).append(((q, i), amp))
-    if state and abs(norm2 - 1.0) > 1e-9:
-        warnings.warn(f"input norm deviates from 1 by {abs(norm2 - 1.0):.3e}")
-    out: dict = {}
-    for lam, amps in by_lam.items():
-        block = cg_block(lam, d)
-        dtype = np.result_type(float, *(amp for _, amp in amps))
-        x = np.zeros(len(block.in_labels), dtype=dtype)
-        for label, amp in amps:
-            x[block.in_index[label]] += amp
-        y = block.dot(x)
-        for r in np.flatnonzero(y):
-            j, q = block.out_labels[r]
-            out[(lam, j, q)] = y[r].item()
-    return out

@@ -55,13 +55,13 @@ numpy call with its operands (_compile); later calls replay the record,
 binding only the views into their input, a fresh output and, where a
 block is weight-grouped (never at d = 2), a fresh product buffer. The
 passes alternate between a state buffer and the output, written last, so
-the result never shares memory with the state buffer. The kept programs
-all run in one workspace (_Workspace), that state buffer kept between
-calls for both directions and all sizes: it holds the largest state run,
-at most _KEEP_BYTES, and a larger cascade walks with a temporary buffer
-on every call. A program runs only while _step and cg_block return the
-objects it was compiled from; a call that finds the workspace busy, in
-another thread, runs a private program that is not kept.
+the result never shares memory with the state buffer. Every kept program
+takes it from the front of _WORK, one buffer never replaced, so a record
+stays valid for the life of the process; only touched pages are resident,
+so it holds the largest state run. A larger state walks with a temporary
+buffer on every call and is never recorded. A program runs only while
+_step and cg_block return the objects it was compiled from; a call that
+finds _LOCK held, in another thread, runs a private program, not kept.
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ def _check_size(n: int, d: int, max_dim: int) -> int:
 _AXES = {"pqr": (1, 0, 2), "qrp": (0, 2, 1), "qpr": (0, 1, 2)}
 _SET = np.ndarray.__setitem__  # a copy, gather or scatter: dest[key] = src
 _KEPT = 4  # programs kept, the least recently used dropped first
-_KEEP_BYTES = 1 << 24  # the largest workspace kept between calls
 _WALKS = 2  # the calls in a direction that walk the cascade before one records it
+# The state buffer of every call to a kept program, which holds _LOCK while it runs.
+_WORK, _LOCK = np.empty(1 << 24, np.uint8), Lock()
 
 
 def _take(src: np.ndarray, index, axis: int, out: np.ndarray) -> None:
@@ -185,29 +186,6 @@ def _take(src: np.ndarray, index, axis: int, out: np.ndarray) -> None:
 @lru_cache(maxsize=_KEPT)
 def _kept(n: int, d: int, m: int, dtype) -> list:  # [the program kept], or [None]
     return [None]
-
-
-class _Workspace:
-    """The state buffer of every call to a kept program, kept between calls;
-    a call holds its lock while it runs a kept program. Growing it drops
-    the records that hold views of the old buffer."""
-
-    def __init__(self):
-        self.lock, self.buffer, self.users = Lock(), np.empty(0, np.uint8), weakref.WeakSet()
-
-    def fit(self, x: np.ndarray, user: _Program | None) -> np.ndarray:
-        """A state buffer of x's size and dtype; user, if any, records into it."""
-        if x.nbytes > self.buffer.nbytes:
-            for program in self.users:  # its next call in each direction records anew
-                program.calls = dict.fromkeys(program.calls, _WALKS)
-            self.users.clear()
-            self.buffer = np.empty(x.nbytes, np.uint8)
-        if user is not None:
-            self.users.add(user)
-        return self.buffer[: x.nbytes].view(x.dtype)
-
-
-_WORK = _Workspace()
 
 
 class _Step(NamedTuple):
@@ -426,7 +404,7 @@ class _Program:
     """The cascade at one (n, d, m, dtype) (see the module docstring), with
     its plans, weak references to its blocks and its records by direction."""
 
-    def __init__(self, n: int, d: int, m: int, dtype, steps, blocks):
+    def __init__(self, n: int, d: int, m: int, steps, blocks):
         for block in (block for step in blocks[1:-1] for block in step):
             block.feeds  # built and checked before any buffer
         self.shape, self.steps, self.calls = (n, d, m), steps, {}
@@ -437,18 +415,17 @@ class _Program:
         now = (block for step in blocks[1:] for block in step)
         return all(map(is_, steps, self.steps)) and all(r() is b for r, b in zip(self.refs, now))
 
-    def run(self, x: np.ndarray, direction: str, blocks, work: _Workspace | None) -> np.ndarray:
-        """The cascade on x, (d^n, m) contiguous: walked or recorded over
-        work (None, or x above _KEEP_BYTES: a temporary buffer, and never
-        recorded), or replayed."""
+    def run(self, x: np.ndarray, direction: str, blocks, work: np.ndarray | None) -> np.ndarray:
+        """The cascade on x, (d^n, m) contiguous: walked or recorded with
+        the front of work as its state buffer (None, or x larger than work:
+        a temporary buffer, and never recorded), or replayed."""
         bases = (x, np.empty_like(x), np.empty(x.size, x.dtype) if self.grouped else None)
         walks = self.calls.get(direction, 0)
         if isinstance(walks, int):  # not recorded yet
-            if work is None or x.nbytes > _KEEP_BYTES:
+            if work is None or x.nbytes > work.nbytes:
                 state, record = np.empty(x.size, x.dtype), False
             else:
-                record = walks == _WALKS
-                state = work.fit(x, self if record else None)
+                state, record = work[: x.nbytes].view(x.dtype), walks == _WALKS
             args = (self.steps, blocks, direction == "inverse", state, record, *bases)
             self.calls[direction] = _compile(*self.shape, *args) or walks + 1
             return bases[1]
@@ -524,16 +501,16 @@ def schur_apply(
         return x.reshape(shape).copy()
     steps = tuple(_step(k, d) for k in range(n))
     blocks = [None] + [[cg_block(src[0], d) for src in step.sources] for step in steps[1:]]
-    if not _WORK.lock.acquire(blocking=False):  # busy: compile a private program
-        program = _Program(n, d, m, dtype, steps, blocks)
+    if not _LOCK.acquire(blocking=False):  # busy: compile a private program
+        program = _Program(n, d, m, steps, blocks)
         return program.run(x, direction, blocks, None).reshape(shape)
     try:
         program = (kept := _kept(n, d, m, dtype))[0]
         if program is None or not program.built_from(steps, blocks):  # compile and keep
-            program = kept[0] = _Program(n, d, m, dtype, steps, blocks)
+            program = kept[0] = _Program(n, d, m, steps, blocks)
         return program.run(x, direction, blocks, _WORK).reshape(shape)
     finally:
-        _WORK.lock.release()
+        _LOCK.release()
 
 
 def compress_p(state: Mapping) -> dict:

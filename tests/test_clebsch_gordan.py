@@ -3,13 +3,12 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
 from schurkit.bases import enumerate_gz
-from schurkit.clebsch_gordan import cg_apply, cg_block
+from schurkit.clebsch_gordan import cg_block
 from schurkit.oracle import extract_irrep, haar_unitary, schur_polynomial
 from schurkit.partitions import Partition, add_box, dim_Q, enumerate_partitions
 from schurkit.schur import schur_unitary
@@ -137,41 +136,42 @@ def test_character_cross_oracle():
             assert abs(tr - ref) < 1e-9
 
 
-def test_cg_apply_basis_example():
+def test_cg_block_basis_example():
+    """|(1), top pattern, i = 1> at d = 2 goes to the one pattern of (2)
+    through j = 1, with amplitude 1 and nothing else."""
+    block = cg_block(P(1), 2)
     top = enumerate_gz(P(1), 2)[0]
-    out = cg_apply({(P(1), top, 1): 1.0}, 2)
+    x = np.zeros(block.size)
+    x[block.in_index[(top, 1)]] = 1.0
+    y = block.dot(x)
     target = enumerate_gz(P(2), 2)[0]
-    assert set(out) == {(P(1), 1, target)}
-    assert abs(out[(P(1), 1, target)] - 1.0) < 1e-15
+    assert [block.out_labels[r] for r in np.flatnonzero(y)] == [(1, target)]
+    assert abs(y[block.out_index[(1, target)]] - 1.0) < 1e-15
 
 
-def test_cg_apply_zero_and_norm():
-    assert cg_apply({}, 2) == {}
+def test_cg_block_zero_and_norm():
+    """The block sends zero to zero and keeps the norm of random complex
+    inputs placed by label (in_index), for every lambda up to 3 boxes at
+    d = 2 and 3."""
     rng = np.random.default_rng(12)
     for d in (2, 3):
         for size in range(1, 4):
             for lam in enumerate_partitions(d, size):
+                block = cg_block(lam, d)
+                assert not block.dot(np.zeros(block.size)).any()
                 pats = enumerate_gz(lam, d)
-                keys = [(lam, q, i) for q in pats for i in range(1, d + 1)]
+                keys = [(q, i) for q in pats for i in range(1, d + 1)]
                 for _ in range(4):
                     amps = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(
                         len(keys)
                     )
                     amps /= np.linalg.norm(amps)
-                    state = dict(zip(keys, amps))
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        out = cg_apply(state, d)
-                    norm = math.sqrt(sum(abs(a) ** 2 for a in out.values()))
-                    assert abs(norm - 1.0) < 1e-12
-
-
-def test_cg_apply_rejects_mixed_d_and_warns_unnormalized():
-    top2 = enumerate_gz(P(1), 2)[0]
-    with pytest.raises(ValueError):
-        cg_apply({(P(1), top2, 1): 1.0}, 3)
-    with pytest.warns(UserWarning):
-        cg_apply({(P(1), top2, 1): 2.0}, 2)
+                    x = np.zeros(block.size, complex)
+                    for key, amp in zip(keys, amps):
+                        x[block.in_index[key]] = amp
+                    out = block.dot(x)
+                    assert len(out) == len(block.out_labels)
+                    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_block_json_schema():

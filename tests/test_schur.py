@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -308,9 +307,9 @@ WARM_CALLS = ["walked"] * schur._WALKS + ["recorded", "replayed"]
 def test_warm_program_never_leaks_its_workspace():
     """A program is kept per (n, d, m, dtype): the first calls in a direction
     walk the cascade, the next records the walk, later calls replay it, and
-    the kept programs share the workspace kept between calls. Each call,
-    on its own input, must match the dense matrix, a replay on zeros must
-    return exact zeros whatever the workspace held, an earlier output must
+    the kept programs share one state buffer, _WORK. Each call, on its own
+    input, must match the dense matrix, a replay on zeros must return
+    exact zeros whatever _WORK held, an earlier output must
     keep its bits through later calls, and no output shares memory with
     another output or with its input (read-only on the recording call)."""
     rng = np.random.default_rng(27)
@@ -341,45 +340,44 @@ def test_warm_program_never_leaks_its_workspace():
                 assert not any(np.shares_memory(out, later) for later, _ in outs[i + 1 :]), case
 
 
-def test_warm_program_records_anew_when_the_workspace_grows(monkeypatch):
-    """The kept programs share one workspace. A larger state grows it, even
-    on a call that only walks, and drops every record holding views of the
-    old buffer, which is freed; the smaller program then records anew into
-    the new buffer and still matches the dense matrix. A state above
-    _KEEP_BYTES neither records nor grows the workspace."""
-    small, large = (5, 2), (4, 4)
-    dense = {size: schur_unitary(*size).matrix for size in (small, large, (4, 3))}
-    monkeypatch.setattr(schur, "_WORK", schur._Workspace())
-    schur._kept.cache_clear()  # no program recorded into another workspace
+def test_warm_program_records_survive_other_sizes(monkeypatch):
+    """The kept programs take their state buffer from the front of one
+    buffer, _WORK, never replaced, so a call at another size leaves every
+    record valid: the (5,2) program records, (4,4) then walks, records and
+    replays over the same buffer, and (5,2) replays its same record, both
+    sizes matching the dense matrix. A state larger than _WORK walks in a
+    temporary buffer on every call, never records and never touches _WORK."""
+    small, large, above = (5, 2), (4, 4), (4, 3)
+    dense = {size: schur_unitary(*size).matrix for size in (small, large, above)}
+    schur._kept.cache_clear()  # every program below starts with a walk
     rng = np.random.default_rng(29)
 
     def calls(n, d, count):
-        x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
         for _ in range(count):
+            x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
             out = schur_apply(x, n, d)
-        assert np.max(np.abs(out - dense[(n, d)] @ x)) < 1e-13, (n, d)
+            assert np.max(np.abs(out - dense[(n, d)] @ x)) < 1e-13, (n, d)
         return schur._kept(n, d, 1, np.complex128)[0]
 
+    work = schur._WORK
     program = calls(*small, len(WARM_CALLS))
-    assert isinstance(program.calls["forward"], tuple)
-    assert schur._WORK.buffer.nbytes == 16 * 2**5
-    old = weakref.ref(schur._WORK.buffer)
-    calls(*large, 1)  # a walk
-    assert schur._WORK.buffer.nbytes == 16 * 4**4 and old() is None
-    assert program.calls == {"forward": schur._WALKS}
-    assert calls(*small, 1) is program and isinstance(program.calls["forward"], tuple)
+    record = program.calls["forward"]
+    assert isinstance(record, tuple)
+    assert isinstance(calls(*large, len(WARM_CALLS)).calls["forward"], tuple)
+    assert schur._WORK is work
+    assert calls(*small, 1) is program and program.calls["forward"] is record
 
-    monkeypatch.setattr(schur, "_KEEP_BYTES", 16 * 3**4 - 1)
-    held = schur._WORK.buffer
-    assert calls(4, 3, len(WARM_CALLS)).calls == {"forward": len(WARM_CALLS)}
-    assert schur._WORK.buffer is held
+    sentinel = np.full(16 * 3**4 - 1, 0xA5, np.uint8)  # a byte short of a complex (4,3) state
+    monkeypatch.setattr(schur, "_WORK", sentinel)
+    assert calls(*above, 4).calls == {"forward": 4}
+    assert (sentinel == 0xA5).all()
 
 
 def test_threads_get_serial_bits(monkeypatch):
     """4 threads x 10 calls at (12,2) and (9,4), both directions, return the
-    bits of serial calls. A call that finds the workspace busy compiles a
-    private program: shown first with the workspace's lock held, then by
-    the threads, which collide at random."""
+    bits of serial calls. A call that finds schur._LOCK held compiles a
+    private program: shown first with the lock held, then by the threads,
+    which collide at random."""
     import threading
 
     sizes = [(12, 2), (9, 4)]
@@ -395,7 +393,7 @@ def test_threads_get_serial_bits(monkeypatch):
         for i, x in enumerate(xs)
     }
     kept = schur._kept(12, 2, 1, np.complex128)[0]
-    with schur._WORK.lock:  # busy: the call compiles a private program
+    with schur._LOCK:  # busy: the call compiles a private program
         out = schur_apply(inputs[(12, 2)][0], 12, 2, max_dim=2**12)
     assert np.array_equal(out.view(np.uint8), serial[(12, 2, "forward", 0)].view(np.uint8))
     assert schur._kept(12, 2, 1, np.complex128)[0] is kept
