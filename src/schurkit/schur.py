@@ -49,19 +49,19 @@ layout, with R the m columns; a state (m = 1) reads the same memory as
 "qrp".
 
 schur_apply compiles the cascade once per (n, d, m, dtype) into a program
-(_Program) and keeps the _KEPT programs used last. A direction's first
-_WALKS calls walk the cascade; the next walks it again and records each
-numpy call with its operands (_compile); later calls replay the record,
-binding only the views into their input, a fresh output and, where a
-block is weight-grouped (never at d = 2), a fresh product buffer. The
-passes alternate between a state buffer and the output, written last, so
-the result never shares memory with the state buffer. Every kept program
-takes it from the front of _WORK, one buffer never replaced, so a record
-stays valid for the life of the process; only touched pages are resident,
-so it holds the largest state run. A larger state walks with a temporary
-buffer on every call and is never recorded. A program runs only while
-_step and cg_block return the objects it was compiled from; a call that
-finds _LOCK held, in another thread, runs a private program, not kept.
+(_Program), keeps the _KEPT programs used last and runs them by three rules:
+
+- Walk twice, then record, then replay: a direction's first _WALKS calls
+  walk the cascade, the next records each numpy call (_compile), later ones
+  replay the record, binding only the views into their input, a fresh
+  output (written last, so it never shares the state buffer) and, for a
+  weight-grouped block (never at d = 2), a fresh product buffer. A program
+  runs only while _step and cg_block return the objects it was built from.
+- One fixed buffer for states of at most 16 MiB: the front of _WORK, never
+  replaced, so a record stays valid for the life of the process. Touched
+  pages stay resident, rounded up to 2 MiB where transparent huge pages
+  back it. A larger state walks in a temporary buffer and is never recorded.
+- One lock that callers wait for: a call holds _LOCK while it runs.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ _AXES = {"pqr": (1, 0, 2), "qrp": (0, 2, 1), "qpr": (0, 1, 2)}
 _SET = np.ndarray.__setitem__  # a copy, gather or scatter: dest[key] = src
 _KEPT = 4  # programs kept, the least recently used dropped first
 _WALKS = 2  # the calls in a direction that walk the cascade before one records it
-# The state buffer of every call to a kept program, which holds _LOCK while it runs.
+# The state buffer of every cascade call, which holds _LOCK while it runs.
 _WORK, _LOCK = np.empty(1 << 24, np.uint8), Lock()
 
 
@@ -415,17 +415,17 @@ class _Program:
         now = (block for step in blocks[1:] for block in step)
         return all(map(is_, steps, self.steps)) and all(r() is b for r, b in zip(self.refs, now))
 
-    def run(self, x: np.ndarray, direction: str, blocks, work: np.ndarray | None) -> np.ndarray:
+    def run(self, x: np.ndarray, direction: str, blocks) -> np.ndarray:
         """The cascade on x, (d^n, m) contiguous: walked or recorded with
-        the front of work as its state buffer (None, or x larger than work:
-        a temporary buffer, and never recorded), or replayed."""
+        the front of _WORK as its state buffer (x larger than _WORK: a
+        temporary buffer, and never recorded), or replayed."""
         bases = (x, np.empty_like(x), np.empty(x.size, x.dtype) if self.grouped else None)
         walks = self.calls.get(direction, 0)
         if isinstance(walks, int):  # not recorded yet
-            if work is None or x.nbytes > work.nbytes:
+            if x.nbytes > _WORK.nbytes:
                 state, record = np.empty(x.size, x.dtype), False
             else:
-                state, record = work[: x.nbytes].view(x.dtype), walks == _WALKS
+                state, record = _WORK[: x.nbytes].view(x.dtype), walks == _WALKS
             args = (self.steps, blocks, direction == "inverse", state, record, *bases)
             self.calls[direction] = _compile(*self.shape, *args) or walks + 1
             return bases[1]
@@ -501,16 +501,11 @@ def schur_apply(
         return x.reshape(shape).copy()
     steps = tuple(_step(k, d) for k in range(n))
     blocks = [None] + [[cg_block(src[0], d) for src in step.sources] for step in steps[1:]]
-    if not _LOCK.acquire(blocking=False):  # busy: compile a private program
-        program = _Program(n, d, m, steps, blocks)
-        return program.run(x, direction, blocks, None).reshape(shape)
-    try:
+    with _LOCK:  # another thread's call waits
         program = (kept := _kept(n, d, m, dtype))[0]
         if program is None or not program.built_from(steps, blocks):  # compile and keep
             program = kept[0] = _Program(n, d, m, steps, blocks)
-        return program.run(x, direction, blocks, _WORK).reshape(shape)
-    finally:
-        _LOCK.release()
+        return program.run(x, direction, blocks).reshape(shape)
 
 
 def compress_p(state: Mapping) -> dict:

@@ -190,6 +190,7 @@ def reduced_wigner_matrix(mu: Partition, mu_dprime: Partition, d: int) -> np.nda
         mup = mu_dprime if jp == 0 else remove_box(mu_dprime, jp)
         if mup is None:
             continue
-        for j in range(1, d + 1):
-            out[j - 1, jp] = _value(mu.parts, j, mup.parts, jp, d)
+        js, jps, table = _row(mu.parts, mup.parts, d)
+        if jp in jps:
+            out[[j - 1 for j in js], jp] = [row[jps.index(jp)] for row in table]
     return out

@@ -374,10 +374,9 @@ def test_warm_program_records_survive_other_sizes(monkeypatch):
 
 
 def test_threads_get_serial_bits(monkeypatch):
-    """4 threads x 10 calls at (12,2) and (9,4), both directions, return the
-    bits of serial calls. A call that finds schur._LOCK held compiles a
-    private program: shown first with the lock held, then by the threads,
-    which collide at random."""
+    """4 threads x 10 calls at (12,2) and (9,4), both directions, collide at
+    random and return the bits of serial calls, through the kept programs
+    alone: a call that finds schur._LOCK held waits for it."""
     import threading
 
     sizes = [(12, 2), (9, 4)]
@@ -392,12 +391,6 @@ def test_threads_get_serial_bits(monkeypatch):
         for direction in ("forward", "inverse")
         for i, x in enumerate(xs)
     }
-    kept = schur._kept(12, 2, 1, np.complex128)[0]
-    with schur._LOCK:  # busy: the call compiles a private program
-        out = schur_apply(inputs[(12, 2)][0], 12, 2, max_dim=2**12)
-    assert np.array_equal(out.view(np.uint8), serial[(12, 2, "forward", 0)].view(np.uint8))
-    assert schur._kept(12, 2, 1, np.complex128)[0] is kept
-
     built = []
     program = schur._Program
     monkeypatch.setattr(schur, "_Program", lambda *args: built.append(args) or program(*args))
@@ -415,7 +408,7 @@ def test_threads_get_serial_bits(monkeypatch):
                         failures.append((w, call, n, d, direction))
 
     kept = {size: schur._kept(*size, 1, np.complex128)[0] for size in sizes}
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+    threads = [threading.Thread(target=worker, args=(w,), daemon=True) for w in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so that calls collide
     try:
@@ -427,9 +420,34 @@ def test_threads_get_serial_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    # the kept programs stay kept; any other program was a private one
     assert kept == {size: schur._kept(*size, 1, np.complex128)[0] for size in sizes}
-    assert all(args[:2] in sizes for args in built)
+    assert built == []
+
+
+def test_threads_wait_for_the_lock(monkeypatch):
+    """A call that finds schur._LOCK held waits until it is released, then
+    returns the bits of a serial call through the kept program: it builds
+    no program of its own."""
+    import threading
+
+    n, d = 12, 2
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    serial = schur_apply(x, n, d, max_dim=d**n)
+    built, result = [], []
+    program = schur._Program
+    monkeypatch.setattr(schur, "_Program", lambda *args: built.append(args) or program(*args))
+    thread = threading.Thread(
+        target=lambda: result.append(schur_apply(x, n, d, max_dim=d**n)), daemon=True
+    )
+    with schur._LOCK:
+        thread.start()
+        thread.join(timeout=0.2)
+        assert thread.is_alive() and result == []
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert np.array_equal(result[0].view(np.uint8), serial.view(np.uint8))
+    assert built == []
 
 
 def test_schur_apply_batches_match_matrix():

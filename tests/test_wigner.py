@@ -14,6 +14,7 @@ from schurkit.partitions import (
     enumerate_partitions,
     interlaces,
     interlacing_set,
+    remove_box,
 )
 from schurkit.wigner import (
     ReducedWignerQuery,
@@ -98,6 +99,28 @@ def test_incompatible_control_gives_zero_matrix():
     # mu'' cannot interlace any mu + e_j here
     mat = reduced_wigner_matrix(P(1), P(3), 2)
     assert np.all(mat == 0.0)
+
+
+def test_matrix_reads_each_coefficient_bit_for_bit():
+    """reduced_wigner_matrix reads each column off one row (wigner._row):
+    every entry equals _value's, bit for bit, over d = 1..5, every mu of up
+    to 4 boxes and every mu'' of up to 4 boxes in d - 1 rows, whether or
+    not the pair is compatible."""
+    checked = nonzero = 0
+    for d in range(1, 6):
+        mus = [mu for k in range(5) for mu in enumerate_partitions(d, k)]
+        mupps = [m for k in range(5) for m in enumerate_partitions(d - 1, k)] if d > 1 else [P()]
+        for mu in mus:
+            for mupp in mupps:
+                mat = reduced_wigner_matrix(mu, mupp, d)
+                for jp in range(d):
+                    mup = mupp if jp == 0 else remove_box(mupp, jp)
+                    for j in range(1, d + 1):
+                        ref = 0.0 if mup is None else _value(mu.parts, j, mup.parts, jp, d)
+                        assert mat[j - 1, jp].hex() == ref.hex(), (mu, mupp, d, j, jp)
+                        checked += 1
+                        nonzero += ref != 0.0
+    assert (checked, nonzero) == (6788, 549)
 
 
 def test_matrix_rejects_mu_beyond_d_rows():
