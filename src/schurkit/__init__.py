@@ -46,8 +46,6 @@ from .partitions import (
 from .schur import (
     ResourceLimitError,
     SchurUnitary,
-    compress_p,
-    decompress_p,
     schur_apply,
     schur_labels,
     schur_unitary,
@@ -68,9 +66,7 @@ __all__ = [
     "YyPath",
     "add_box",
     "cg_block",
-    "compress_p",
     "decode_registers",
-    "decompress_p",
     "dim_P",
     "dim_Q",
     "encode_registers",

@@ -19,7 +19,7 @@ from .partitions import add_box, enumerate_partitions, interlacing_set
 from .wigner import _row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
     """A two-level rotation on basis states (a, b), or a phase on state a."""
 

@@ -176,7 +176,7 @@ def _branch(n: int, d: int) -> tuple:
     return _frozen(ints), _frozen(np.ones(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CgBlock:
     """CG unitary for one lambda, stored by weight.
 

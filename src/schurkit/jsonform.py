@@ -26,7 +26,7 @@ import numpy as np
 CHUNK_FLOATS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Records:
     """A JSON list written section by section, one item per array row.
 

@@ -72,7 +72,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, repeat
 from operator import is_
 from threading import Lock
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,6 @@ from .bases import (
     format_ssyt,
     gz_to_ssyt,
     path_offsets,
-    rank_path,
-    unrank_path,
 )
 from .clebsch_gordan import cg_block, cg_rows
 from .jsonform import lists, pairs
@@ -107,7 +105,7 @@ class ResourceLimitError(RuntimeError):
     """Raised when a requested dense object exceeds the configured bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurUnitary:
     """Dense d^n x d^n Schur transform with labeled rows."""
 
@@ -116,13 +114,6 @@ class SchurUnitary:
     matrix: np.ndarray
     row_labels: tuple  # (lambda, GzPattern, YyPath) per row
     blocks: tuple  # (lambda, row_start, dim_Q, dim_P) in row order
-
-    def block_rows(self, lam: Partition) -> np.ndarray:
-        """The rows of the lambda block, shape (dim_Q * dim_P, d^n)."""
-        for blam, start, dq, dp in self.blocks:
-            if blam == lam:
-                return self.matrix[start : start + dq * dp]
-        raise KeyError(f"no block for {lam}")
 
     def json_payload(self) -> dict:
         """Schema: n, d, row_labels, matrix as [re, im] pairs (array form).
@@ -506,27 +497,3 @@ def schur_apply(
         if program is None or not program.built_from(steps, blocks):  # compile and keep
             program = kept[0] = _Program(n, d, m, steps, blocks)
         return program.run(x, direction, blocks).reshape(shape)
-
-
-def compress_p(state: Mapping) -> dict:
-    """Replace the YyPath label by its rank; amplitudes unchanged."""
-    out = {}
-    for (lam, q, p), amp in state.items():
-        _check_label(lam, q, p, isinstance(p, YyPath) and p.top == lam)
-        out[(lam, q, rank_path(p))] = amp
-    return out
-
-
-def decompress_p(state: Mapping) -> dict:
-    """Inverse of compress_p: recover the path from (lambda, rank)."""
-    out = {}
-    for (lam, q, r), amp in state.items():
-        _check_label(lam, q, r, True)  # unrank_path checks the rank
-        out[(lam, q, unrank_path(lam, r))] = amp
-    return out
-
-
-def _check_label(lam: Partition, q, p, path_ok: bool) -> None:
-    """Raise ValueError unless q is a GZ pattern of lambda and path_ok."""
-    if not (path_ok and isinstance(q, GzPattern) and q.top == lam):
-        raise ValueError(f"label ({lam}, {q}, {p}) is not a valid Schur label")

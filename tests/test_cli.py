@@ -294,16 +294,35 @@ def test_gz_and_paths_deeper_than_the_recursion_limit(capsys):
     assert out == ["1\t" + ",".join(["1"] * 999)]
 
 
-@pytest.mark.parametrize("module", ["schurkit", "schurkit.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def _python_dash_m(module, *argv):
+    """Run `python -m module argv...` in a fresh process, on this checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "verify", "--n", "2", "--d", "2", "--trials", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+@pytest.mark.parametrize("module", ["schurkit", "schurkit.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = _python_dash_m(module, "verify", "--n", "2", "--d", "2", "--trials", "1")
     assert proc.returncode == 0, proc.stderr
     assert "ok" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["dims", "--d", "2", "--n", "-1"], 2, "stderr", "error: "),
+        (["cg", "--lambda", "1,1,1", "--d", "2"], 2, "stderr", "error: "),
+        (["circuit", "--n", "0", "--d", "2"], 2, "stderr", "error: "),
+        (["wigner", "--mu", "2", "--mu-dprime", "1,1", "--d", "2"], 2, "stderr", "error: "),
+        (["schur", "--n", "13", "--d", "2"], 3, "stderr", "error: "),
+        (["--version"], 0, "stdout", "0.1.0\n"),
+    ],
+    ids=["dims", "cg", "circuit", "wigner", "schur-limit", "version"],
+)
+def test_python_dash_m_exit_codes(argv, code, stream, text):
+    proc = _python_dash_m("schurkit", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert getattr(proc, stream).startswith(text)

@@ -14,8 +14,6 @@ from schurkit.oracle import extract_perm_irrep, standard_fillings, transposition
 from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
 from schurkit.schur import (
     ResourceLimitError,
-    compress_p,
-    decompress_p,
     schur_apply,
     schur_labels,
     schur_unitary,
@@ -658,46 +656,13 @@ def test_resource_bound():
         schur_apply(np.zeros(2**12), 12, 2, max_dim=2048)
 
 
-def test_compress_p_examples():
-    for n in (2, 4):
-        lam = P(n)
-        q = enumerate_gz(lam, 2)[0]
-        (path,) = enumerate_paths(lam)
-        assert compress_p({(lam, q, path): 1.0}) == {(lam, q, 1): 1.0}
-    lam = P(2, 1)
-    q = enumerate_gz(lam, 2)[0]
-    paths = enumerate_paths(lam)
-    state = {(lam, q, p): 0.5 for p in paths}
-    packed = compress_p(state)
-    assert set(packed) == {(lam, q, 1), (lam, q, 2)}
-
-
-def test_compress_round_trip_all_n4_labels():
-    for lam, q, p in schur_labels(4, 2):
-        state = {(lam, q, p): 1.0}
-        assert decompress_p(compress_p(state)) == state
-    with pytest.raises(ValueError):
-        compress_p({(P(2), enumerate_gz(P(2), 2)[0], enumerate_paths(P(3))[0]): 1.0})
-
-
-def test_compress_p_and_decompress_p_check_the_gz_label():
-    lam, path = P(2, 1), enumerate_paths(P(2, 1))[0]
-    with pytest.raises(ValueError, match="not a valid Schur label"):
-        compress_p({(lam, enumerate_gz(P(3), 2)[0], path): 1.0})  # a pattern of (3)
-    with pytest.raises(ValueError, match="not a valid Schur label"):
-        compress_p({(lam, "not a pattern", path): 1.0})
-    with pytest.raises(ValueError, match="not a valid Schur label"):
-        decompress_p({(lam, "not a pattern", 1): 1.0})
-    with pytest.raises(ValueError, match="not a valid Schur label"):
-        decompress_p({(lam, enumerate_gz(P(3), 2)[0], 1): 1.0})
-
-
-def test_block_rows_accessor():
+def test_blocks_give_each_lambda_its_rows():
     su = schur_unitary(3, 2)
-    rows = su.block_rows(P(2, 1))
-    assert rows.shape == (4, 8)
-    with pytest.raises(KeyError):
-        su.block_rows(P(1, 1, 1))
+    assert [b[0] for b in su.blocks] == [P(3), P(2, 1)]  # no block for (1,1,1)
+    _, start, dq, dp = su.blocks[1]
+    assert (start, dq, dp) == (4, 2, 2)
+    assert su.matrix[start : start + dq * dp].shape == (4, 8)
+    assert {lam for lam, _, _ in su.row_labels[start : start + dq * dp]} == {P(2, 1)}
 
 
 def test_to_json_schema():

@@ -367,23 +367,27 @@ def test_rows_match_an_exact_fraction_reference_bit_for_bit():
 
 def test_negative_radicand_raises_with_its_exact_integers(monkeypatch):
     """No valid coupling has a negative radicand, so the guard is reached by
-    negating the den factors of mu that the row reads: T((2,1), 1, (2), 0)
-    at d = 3 is sqrt(4 / 8), here 4 / -8."""
+    negating the den factors that the row reads, of mu (plus = 0) or of mu'
+    (plus = 1): T((2,1), 1, (2), 0) at d = 3 is sqrt(4 / 8), here 4 / -8, and
+    T((2,1), 1, (2), 1) is sqrt(32 / 32), here 32 / -32."""
     shifted = wigner._shifted
+    cases = [
+        (0, 0, r"^radicand 4/-8 for \(mu=2,1, j=1, mu'=2, j'=0, d=3\)$"),
+        (1, 1, r"^radicand 32/-32 for \(mu=2,1, j=1, mu'=2, j'=1, d=3\)$"),
+    ]
+    for negate, j_prime, message in cases:
 
-    def negated(parts, rows, plus):
-        m, ks, mt, dens = shifted(parts, rows, plus)
-        return m, ks, mt, tuple(-x for x in dens) if plus == 0 else dens
+        def negated(parts, rows, plus, negate=negate):
+            m, ks, mt, dens = shifted(parts, rows, plus)
+            return m, ks, mt, tuple(-x for x in dens) if plus == negate else dens
 
-    for cached in (wigner._row, wigner._value):
-        cached.cache_clear()
-    monkeypatch.setattr(wigner, "_shifted", negated)
-    try:
-        with pytest.raises(
-            ArithmeticError, match=r"^radicand 4/-8 for \(mu=2,1, j=1, mu'=2, j'=0, d=3\)$"
-        ):
-            _value((2, 1), 1, (2,), 0, 3)
-    finally:
-        monkeypatch.undo()
         for cached in (wigner._row, wigner._value):
             cached.cache_clear()
+        monkeypatch.setattr(wigner, "_shifted", negated)
+        try:
+            with pytest.raises(ArithmeticError, match=message):
+                _value((2, 1), 1, (2,), j_prime, 3)
+        finally:
+            monkeypatch.undo()
+            for cached in (wigner._row, wigner._value):
+                cached.cache_clear()
