@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from schurkit import clebsch_gordan, schur
-from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt
+from schurkit.bases import enumerate_gz, enumerate_paths, gz_to_ssyt, rank_path, unrank_path
 from schurkit.oracle import extract_perm_irrep, standard_fillings, transposition
 from schurkit.partitions import Partition, dim_P, dim_Q, enumerate_partitions
 from schurkit.schur import (
@@ -654,6 +654,27 @@ def test_resource_bound():
     assert "1048576" in str(err.value)
     with pytest.raises(ResourceLimitError):
         schur_apply(np.zeros(2**12), 12, 2, max_dim=2048)
+
+
+def test_compress_p_examples():
+    # the path register's compact form is its rank, 1..dim P_λ
+    for n in (2, 4):
+        lam = P(n)
+        q = enumerate_gz(lam, 2)[0]
+        (path,) = enumerate_paths(lam)
+        assert rank_path(path) == 1
+    lam = P(2, 1)
+    q = enumerate_gz(lam, 2)[0]
+    paths = enumerate_paths(lam)
+    packed = {(lam, q, rank_path(p)): 0.5 for p in paths}
+    assert set(packed) == {(lam, q, 1), (lam, q, 2)}
+
+
+def test_compress_round_trip_all_n4_labels():
+    for lam, q, p in schur_labels(4, 2):
+        assert p.top == lam and unrank_path(lam, rank_path(p)) == p
+    with pytest.raises(ValueError):
+        unrank_path(P(2), 2)  # (2) has one path
 
 
 def test_blocks_give_each_lambda_its_rows():
