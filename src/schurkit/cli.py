@@ -157,10 +157,11 @@ def _cmd_verify(args) -> int:
 def _cmd_circuit(args) -> int:
     if args.max_dim < 1:
         raise ValueError(f"--max-dim must be >= 1, got {args.max_dim}")
+    # built before the census, which has no bound, and before anything prints
+    su = schur_unitary(args.n, args.d, max_dim=args.max_dim) if args.decompose else None
     report = gate_count_report(args.n, args.d)
     payload = dataclasses.asdict(report)  # field order is the JSON key order
-    if args.decompose:  # built before anything prints: over the bound prints nothing
-        su = schur_unitary(args.n, args.d, max_dim=args.max_dim)
+    if args.decompose:
         gl = two_level_decompose(su.matrix.astype(complex), tol=1e-10)
         payload["gate_list"] = gl.json_payload()
     print(f"{'step':>6}{'dim':>6}{'control_pairs':>16}{'rotation_classes':>18}")

@@ -49,28 +49,31 @@ layout, with R the m columns; a state (m = 1) reads the same memory as
 "qrp".
 
 schur_apply compiles the cascade once per (n, d, m, dtype) into a program
-(_Program), keeps the _KEPT programs used last and runs them by three rules:
+(_Program), keeps the _KEPT programs used last and runs them by four rules:
 
 - Walk twice, then record, then replay: a direction's first _WALKS calls
   walk the cascade, the next records each numpy call (_compile), later ones
   replay the record, binding only the views into their input, a fresh
   output (written last, so it never shares the state buffer) and, for a
-  weight-grouped block (never at d = 2), a fresh product buffer. A program
-  runs only while _step and cg_block return the objects it was built from.
+  weight-grouped block (never at d = 2), a fresh product buffer.
 - One fixed buffer for states of at most 16 MiB: the front of _WORK, never
   replaced, so a record stays valid for the life of the process. Touched
   pages stay resident, rounded up to 2 MiB where transparent huge pages
   back it. A larger state walks in a temporary buffer and is never recorded.
 - One lock that callers wait for: a call holds _LOCK while it runs.
+- One check per call: _step and cg_block are caches only ever cleared whole,
+  so a program is current while one entry of each is what it was built from;
+  else every kept program is dropped. A function put in place of either
+  without clearing its cache is noticed only if that entry changes.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
-from operator import is_
 from threading import Lock
 from typing import NamedTuple
 
@@ -146,6 +149,9 @@ class SchurUnitary:
 def _check_size(n: int, d: int, max_dim: int) -> int:
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
+    # d^n above 2 * max_dim^2 (a bit's margin over float rounding) is not built
+    if d > 1 and n * math.log2(d) > 2 * math.log2(max(max_dim, 1)) + 1:
+        raise ResourceLimitError(f"d^n = {d}^{n} exceeds the configured bound {max_dim}")
     required = d**n
     if required > max_dim:
         raise ResourceLimitError(
@@ -175,8 +181,8 @@ def _take(src: np.ndarray, index, axis: int, out: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=_KEPT)
-def _kept(n: int, d: int, m: int, dtype) -> list:  # [the program kept], or [None]
-    return [None]
+def _kept(n: int, d: int, m: int, dtype) -> _Program:
+    return _Program(n, d, m)
 
 
 class _Step(NamedTuple):
@@ -236,7 +242,7 @@ def _step(k: int, d: int) -> _Step:
     )
 
 
-def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record: bool, *bases):
+def _compile(n: int, d: int, m: int, steps, inverse: bool, work, record: bool, *bases):
     """One direction of the cascade, run on `bases` (x, out, product) over
     the state buffer `work` and, if `record`, returned as the flat tuple of its
     numpy calls (function, arguments, binds): products, takes (_take) and
@@ -248,6 +254,7 @@ def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record:
     change (gather moves it on), by one index (CgBlock.feeds) unless both
     blocks are dense."""
     size, (x, out, product) = d**n * m, bases
+    blocks = [None] + [[cg_block(lam, d) for lam, *_ in step.sources] for step in steps[1:]]
     rests = [d ** (n - k - 1) * m for k in range(n)]  # the rest after step k
     layouts = {k: steps[k].layout(rests[k]) for k in range(1, n)}
     row_layout = "qrp" if m == 1 else "qpr"  # its sectors lie in row order
@@ -393,20 +400,20 @@ def _compile(n: int, d: int, m: int, steps, blocks, inverse: bool, work, record:
 
 class _Program:
     """The cascade at one (n, d, m, dtype) (see the module docstring), with
-    its plans, weak references to its blocks and its records by direction."""
+    its plans, a weak reference to its first block and its records by direction."""
 
-    def __init__(self, n: int, d: int, m: int, steps, blocks):
-        for block in (block for step in blocks[1:-1] for block in step):
+    def __init__(self, n: int, d: int, m: int):
+        self.shape, self.steps, self.calls = (n, d, m), tuple(_step(k, d) for k in range(n)), {}
+        blocks = [cg_block(lam, d) for step in self.steps[1:] for lam, *_ in step.sources]
+        for block in blocks[: -len(self.steps[-1].sources)]:  # the last step's feed the output
             block.feeds  # built and checked before any buffer
-        self.shape, self.steps, self.calls = (n, d, m), steps, {}
-        self.refs = [weakref.ref(block) for step in blocks[1:] for block in step]
-        self.grouped = any(ref().dense is None for ref in self.refs)
+        self.first, self.grouped = weakref.ref(blocks[0]), any(b.dense is None for b in blocks)
 
-    def built_from(self, steps, blocks) -> bool:
-        now = (block for step in blocks[1:] for block in step)
-        return all(map(is_, steps, self.steps)) and all(r() is b for r, b in zip(self.refs, now))
+    def current(self) -> bool:  # one entry of _step and of cg_block (module docstring)
+        d, step = self.shape[1], self.steps[1]
+        return _step(1, d) is step and cg_block(step.sources[0][0], d) is self.first()
 
-    def run(self, x: np.ndarray, direction: str, blocks) -> np.ndarray:
+    def run(self, x: np.ndarray, direction: str) -> np.ndarray:
         """The cascade on x, (d^n, m) contiguous: walked or recorded with
         the front of _WORK as its state buffer (x larger than _WORK: a
         temporary buffer, and never recorded), or replayed."""
@@ -417,7 +424,7 @@ class _Program:
                 state, record = np.empty(x.size, x.dtype), False
             else:
                 state, record = _WORK[: x.nbytes].view(x.dtype), walks == _WALKS
-            args = (self.steps, blocks, direction == "inverse", state, record, *bases)
+            args = (self.steps, direction == "inverse", state, record, *bases)
             self.calls[direction] = _compile(*self.shape, *args) or walks + 1
             return bases[1]
         for fn, args, binds in self.calls[direction]:
@@ -490,10 +497,7 @@ def schur_apply(
     x = np.ascontiguousarray(x, dtype).reshape(dim, m)
     if n == 1 or m == 0:
         return x.reshape(shape).copy()
-    steps = tuple(_step(k, d) for k in range(n))
-    blocks = [None] + [[cg_block(src[0], d) for src in step.sources] for step in steps[1:]]
     with _LOCK:  # another thread's call waits
-        program = (kept := _kept(n, d, m, dtype))[0]
-        if program is None or not program.built_from(steps, blocks):  # compile and keep
-            program = kept[0] = _Program(n, d, m, steps, blocks)
-        return program.run(x, direction, blocks).reshape(shape)
+        if not _kept(n, d, m, dtype).current():  # then no kept program is
+            _kept.cache_clear()
+        return _kept(n, d, m, dtype).run(x, direction).reshape(shape)

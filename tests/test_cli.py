@@ -294,12 +294,16 @@ def test_gz_and_paths_deeper_than_the_recursion_limit(capsys):
     assert out == ["1\t" + ",".join(["1"] * 999)]
 
 
-def _python_dash_m(module, *argv):
+def _python_dash_m(module, *argv, timeout=120):
     """Run `python -m module argv...` in a fresh process, on this checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 
@@ -318,11 +322,26 @@ def test_python_dash_m_runs_the_cli(module):
         (["circuit", "--n", "0", "--d", "2"], 2, "stderr", "error: "),
         (["wigner", "--mu", "2", "--mu-dprime", "1,1", "--d", "2"], 2, "stderr", "error: "),
         (["schur", "--n", "13", "--d", "2"], 3, "stderr", "error: "),
+        # d^n has 47,713 and 47,712,126 digits: the bound is decided without it
+        (["schur", "--n", "100000", "--d", "3"], 3, "stderr", "error: d^n"),
+        (["schur", "--n", "100000000", "--d", "3"], 3, "stderr", "error: d^n"),
+        # the bound is checked before the rotation census, which has none
+        (["circuit", "--n", "100", "--d", "3", "--decompose"], 3, "stderr", "error: d^n"),
         (["--version"], 0, "stdout", "0.1.0\n"),
     ],
-    ids=["dims", "cg", "circuit", "wigner", "schur-limit", "version"],
+    ids=[
+        "dims",
+        "cg",
+        "circuit",
+        "wigner",
+        "schur-limit",
+        "schur-limit-1e5",
+        "schur-limit-1e8",
+        "circuit-decompose-limit",
+        "version",
+    ],
 )
 def test_python_dash_m_exit_codes(argv, code, stream, text):
-    proc = _python_dash_m("schurkit", *argv)
+    proc = _python_dash_m("schurkit", *argv, timeout=10)
     assert proc.returncode == code, proc.stderr
     assert getattr(proc, stream).startswith(text)

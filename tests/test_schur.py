@@ -269,7 +269,7 @@ def test_cascade_rejects_a_wrong_composed_index(monkeypatch):
     for direction in ("forward", "inverse"):
         for _ in WARM_CALLS[:-1]:  # the last of these records a program
             schur_apply(v, n, d, direction)
-    assert all(schur._kept(n, d, 1, np.float64)[0].calls.values())
+    assert all(schur._kept(n, d, 1, np.float64).calls.values())
     real = clebsch_gordan.cg_block
     assert real(P(3), d).dense is None
 
@@ -324,14 +324,14 @@ def test_warm_program_never_leaks_its_workspace():
                     x.setflags(write=call != "recorded")
                     out = schur_apply(x, n, d, direction)
                     if not outs:
-                        program = schur._kept(n, d, cols or 1, dtype)[0]
+                        program = schur._kept(n, d, cols or 1, dtype)
                     assert out.dtype == dtype and out.shape == shape, case
                     assert np.max(np.abs(out - ref @ x)) < 1e-13, (case, direction, call)
                     assert not np.shares_memory(out, x), case
                     outs.append((out, out.copy()))
                 zeros = schur_apply(np.zeros(shape, dtype), n, d, direction)
                 assert not zeros.any(), (case, direction)
-            kept = schur._kept(n, d, cols or 1, dtype)[0]
+            kept = schur._kept(n, d, cols or 1, dtype)
             assert kept is program and set(kept.calls) == {"forward", "inverse"}, case
             for i, (out, copy) in enumerate(outs):
                 assert np.array_equal(out, copy), case
@@ -355,7 +355,7 @@ def test_warm_program_records_survive_other_sizes(monkeypatch):
             x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
             out = schur_apply(x, n, d)
             assert np.max(np.abs(out - dense[(n, d)] @ x)) < 1e-13, (n, d)
-        return schur._kept(n, d, 1, np.complex128)[0]
+        return schur._kept(n, d, 1, np.complex128)
 
     work = schur._WORK
     program = calls(*small, len(WARM_CALLS))
@@ -369,6 +369,43 @@ def test_warm_program_records_survive_other_sizes(monkeypatch):
     monkeypatch.setattr(schur, "_WORK", sentinel)
     assert calls(*above, 4).calls == {"forward": 4}
     assert (sentinel == 0xA5).all()
+
+
+def test_warm_program_checks_one_entry_of_each_cache(monkeypatch):
+    """A kept program is current while one entry of _step and one of
+    cg_block return what it was built from, so a replayed call at (12,2)
+    and at (9,4) looks each up once, whatever the number of sources.
+    Clearing either cache makes the next call build one new program, with
+    the bits of a call made before the clear, and no program holds a
+    CgBlock: a block dies with its cache entry."""
+    import gc
+    import weakref
+
+    lookups, built = [], []
+    step, block, program = schur._step, schur.cg_block, schur._Program
+    monkeypatch.setattr(schur, "_step", lambda *args: lookups.append("_step") or step(*args))
+    monkeypatch.setattr(schur, "cg_block", lambda *args: lookups.append("cg_block") or block(*args))
+    monkeypatch.setattr(schur, "_Program", lambda *args: built.append(args) or program(*args))
+    rng = np.random.default_rng(31)
+    for n, d in [(12, 2), (9, 4)]:
+        x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        for direction in ("forward", "inverse"):
+            for _ in WARM_CALLS:
+                before = schur_apply(x, n, d, direction, max_dim=d**n)
+            assert isinstance(schur._kept(n, d, 1, np.complex128).calls[direction], tuple)
+            lookups.clear()
+            again = schur_apply(x, n, d, direction, max_dim=d**n)
+            assert lookups == ["_step", "cg_block"], (n, d, direction)
+            assert np.array_equal(again.view(np.uint8), before.view(np.uint8))
+        for cache in (block, step):
+            ref = weakref.ref(block(P(1), d))
+            built.clear()
+            cache.cache_clear()
+            after = schur_apply(x, n, d, "inverse", max_dim=d**n)
+            assert len(built) == 1, (n, d, cache)
+            assert np.array_equal(after.view(np.uint8), before.view(np.uint8)), (n, d, cache)
+            gc.collect()
+            assert (ref() is None) == (cache is block), (n, d, cache)
 
 
 def test_threads_get_serial_bits(monkeypatch):
@@ -405,7 +442,7 @@ def test_threads_get_serial_bits(monkeypatch):
                     if not np.array_equal(out.view(np.uint8), ref.view(np.uint8)):
                         failures.append((w, call, n, d, direction))
 
-    kept = {size: schur._kept(*size, 1, np.complex128)[0] for size in sizes}
+    kept = {size: schur._kept(*size, 1, np.complex128) for size in sizes}
     threads = [threading.Thread(target=worker, args=(w,), daemon=True) for w in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so that calls collide
@@ -418,7 +455,7 @@ def test_threads_get_serial_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert kept == {size: schur._kept(*size, 1, np.complex128)[0] for size in sizes}
+    assert kept == {size: schur._kept(*size, 1, np.complex128) for size in sizes}
     assert built == []
 
 
