@@ -6,10 +6,10 @@ One routine conjugates: it forms rows of W = C A S^T, with A = U^{tensor n}
 P(s) applied axis by axis to the transposed dense matrix S and the left
 product by C = U_Sch run through the cascade (schur_apply). conjugate_by_schur
 takes all rows, the extractors one lambda block's, and a W that is not finite
-raises ConsistencyError there. W has q (x) p blocks only if C and S are the
-same labeled Schur transform, so one run referees both: a wrong coefficient,
-or a matrix that disagrees with the cascade, shows up as a residual of the one
-factor (x) I reader, which the extractors and verify share. Dense
+raises ConsistencyError there. W(U) has q (x) I blocks and W(s) I (x) p ones
+only if C and S are the same labeled Schur transform, so one run referees
+both: a wrong coefficient, or a matrix that disagrees with the cascade, shows
+up as off-block mass or in the one factor (x) I reader (_read_factor). Dense
 representation matrices pass schur's own size check at DEFAULT_MAX_DIM
 (4096): n and d below 1 raise ValueError, and d^n above the bound raises
 its ResourceLimitError.
@@ -293,31 +293,34 @@ def _factor_residual(w: np.ndarray) -> tuple[np.ndarray, float]:
     return factor, float(np.max(np.abs(res)))
 
 
-def _read_factor(schur: SchurUnitary, lam: Partition, u=None, s=None) -> np.ndarray:
-    """The q factor (given u) or p factor (given s) of lambda's conjugated
-    block, which must be factor (x) I to 1e-9, else the labels are wrong."""
+def _read_factor(w: np.ndarray, lam: Partition, factor: str) -> tuple[np.ndarray, float]:
+    """(factor, residual) of lambda's conjugated block w, shaped (q, p, q, p):
+    the q factor and w's max deviation from q (x) I (factor "q"), or the same
+    for p and I (x) p ("p"). Above 1e-9 the labels are wrong: ConsistencyError."""
+    other = "p" if factor == "q" else "q"
+    out, res = _factor_residual(w if factor == "q" else w.transpose(1, 0, 3, 2))
+    if not res <= 1e-9:  # NaN fails
+        raise ConsistencyError(f"{factor}-block of {lam} depends on the fixed {other} index")
+    return out, res
+
+
+def _extract(schur: SchurUnitary, lam: Partition, u=None, s=None) -> np.ndarray:
+    """Conjugate lambda's rows alone, then read their factor (_read_factor)."""
     for blam, start, dq, dp in schur.blocks:
         if blam == lam:
             w = _conjugate_rows(schur, slice(start, start + dq * dp), u, s)
-            w = w.reshape(dq, dp, dq, dp)
-            factor, other = ("q", "p") if s is None else ("p", "q")
-            out, res = _factor_residual(w if s is None else w.transpose(1, 0, 3, 2))
-            if not res <= 1e-9:  # NaN fails
-                raise ConsistencyError(
-                    f"{factor}-block of {lam} depends on the fixed {other} index"
-                )
-            return out
+            return _read_factor(w.reshape(dq, dp, dq, dp), lam, "q" if s is None else "p")[0]
     raise KeyError(f"no block for {lam}")
 
 
 def extract_irrep(schur: SchurUnitary, lam: Partition, u: np.ndarray) -> np.ndarray:
     """q_lambda(U), read off the conjugated lambda block at a fixed path index."""
-    return _read_factor(schur, lam, u=u)
+    return _extract(schur, lam, u=u)
 
 
 def extract_perm_irrep(schur: SchurUnitary, lam: Partition, s: Permutation) -> np.ndarray:
     """p_lambda(s), read off the conjugated lambda block at a fixed GZ index."""
-    return _read_factor(schur, lam, s=s)
+    return _extract(schur, lam, s=s)
 
 
 def schur_polynomial(lam: Partition, x) -> complex:
@@ -374,7 +377,9 @@ def kron_factor_residual(w: np.ndarray, dq: int, dp: int) -> float:
 
 
 def verify_report(n: int, d: int, trials: int, seed: int) -> dict:
-    """Residual summary for (n, d): unitarity, block structure, characters.
+    """Residual summary for (n, d), read from one W(U) and one W(s) a trial:
+    off-block mass of both, W(U)'s blocks against q (x) I (raising above
+    1e-9) and q's trace against the Schur polynomial, W(s)'s against I (x) p.
 
     Keys: unitarity, max_off_mass, max_factor_residual, max_q_constancy,
     max_char_residual, ok (all within the spec tolerances).
@@ -385,30 +390,24 @@ def verify_report(n: int, d: int, trials: int, seed: int) -> dict:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     schur = schur_unitary(n, d)
-    m = schur.matrix
-    unit = float(np.max(np.abs(m @ m.T - np.eye(m.shape[0]))))
-
-    max_off = 0.0
-    max_factor = 0.0
-    max_qconst = 0.0
-    max_char = 0.0
+    max_off = max_factor = max_qconst = max_char = 0.0
     for _ in range(trials):
         u = haar_unitary(d, rng)
         s = random_permutation(n, rng)
-        w = conjugate_by_schur(schur, u=u, s=s)
-        max_off = max(max_off, offdiag_block_mass(schur, w))
-        wp = conjugate_by_schur(schur, s=s)
-        max_off = max(max_off, offdiag_block_mass(schur, wp))
+        wu = conjugate_by_schur(schur, u=u)
+        ws = conjugate_by_schur(schur, s=s)
+        max_off = max(max_off, offdiag_block_mass(schur, wu), offdiag_block_mass(schur, ws))
+        eig = np.linalg.eigvals(u)
         for lam, start, dq, dp in schur.blocks:
             b = slice(start, start + dq * dp)
-            max_factor = max(max_factor, kron_factor_residual(w[b, b], dq, dp))
-            pblk = wp[b, b].reshape(dq, dp, dq, dp)
-            max_qconst = max(max_qconst, perm_block_residual(pblk))
-        eig = np.linalg.eigvals(u)
-        for lam, *_ in schur.blocks:
-            tr = np.trace(extract_irrep(schur, lam, u))
-            ref = schur_polynomial(lam, eig)
-            max_char = max(max_char, abs(tr - ref))
+            q, res = _read_factor(wu[b, b].reshape(dq, dp, dq, dp), lam, "q")
+            max_factor = max(max_factor, res)
+            max_char = max(max_char, abs(np.trace(q) - schur_polynomial(lam, eig)))
+            max_qconst = max(max_qconst, perm_block_residual(ws[b, b].reshape(dq, dp, dq, dp)))
+    # formed last, so that it adds nothing to the conjugations' peak memory
+    g = schur.matrix @ schur.matrix.T
+    g.flat[:: len(g) + 1] -= 1.0  # minus I in place, not a second D x D array
+    unit = float(np.max(np.abs(g)))
     return {
         "n": n,
         "d": d,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_ssyt, brute_syt
-from schurkit import clebsch_gordan, oracle
+from schurkit import clebsch_gordan, oracle, schur
 from schurkit.bases import GzPattern, enumerate_gz, enumerate_paths, gz_to_ssyt
 from schurkit.cli import run
 from schurkit.oracle import (
@@ -427,6 +427,49 @@ def test_extractors_compare_the_whole_block(monkeypatch, factor):
             extract_irrep(su, lam, haar_unitary(2, rng))
         else:
             extract_perm_irrep(su, lam, transposition(3, 1, 2))
+
+
+@pytest.mark.parametrize("eps", [5e-10, 1e-6])
+def test_verify_reads_the_u_blocks_against_both_thresholds(monkeypatch, eps):
+    # W(U) alone is complex and square: W(s) is real, and an extractor's
+    # conjugation has one lambda block's columns
+    su = schur_unitary(3, 2)
+    start = next(b[1] for b in su.blocks if b[0] == P(2, 1))
+    apply = oracle.schur_apply
+
+    def perturbed(x, *args, **kwargs):
+        out = apply(x, *args, **kwargs)
+        if np.iscomplexobj(out) and out.shape[0] == out.shape[1]:
+            out[start, start + 1] += eps  # (q, p) = (0, 0) against (0, 1)
+        return out
+
+    monkeypatch.setattr(oracle, "schur_apply", perturbed)
+    if eps < 1e-9:  # read, and reported as a breach
+        report = verify_report(3, 2, 2, 0)
+        assert report["ok"] is False and report["max_factor_residual"] >= eps
+        assert run(["verify", "--n", "3", "--d", "2", "--trials", "2"]) == 4
+    else:
+        with pytest.raises(ConsistencyError, match="q-block of .* depends on the fixed p index"):
+            verify_report(3, 2, 2, 0)
+
+
+@pytest.mark.parametrize("n, d", [(7, 2), (4, 3)])
+def test_verify_conjugates_whole_operators_only(monkeypatch, n, d):
+    # Conjugating U^{tensor n} P(s), P(s), then U^{tensor n} once per lambda
+    # block built 12 cascade programs at (7,2), one per block height.
+    built, widths = [], []
+    program, apply = schur._Program, oracle.schur_apply
+    monkeypatch.setattr(schur, "_Program", lambda *args: built.append(args) or program(*args))
+
+    def counted(x, *args, **kwargs):
+        widths.append(x.shape[1])
+        return apply(x, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "schur_apply", counted)
+    schur._kept.cache_clear()
+    verify_report(n, d, 2, 0)
+    assert len(built) <= 2  # the dense build's and W(s)'s real one, W(U)'s complex one
+    assert widths == [d**n] * 4  # W(U) and W(s), each trial
 
 
 def _worst_sector_mass_residual(n, d, seeds):
