@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .jsonform import Records, lists
-from .partitions import add_box, enumerate_partitions, interlacing_set
+from .partitions import add_box, drop_columns, enumerate_partitions, interlacing_set
 from .wigner import _row
 
 
@@ -230,15 +230,11 @@ def _translation_class(mu: tuple, mupp: tuple, d: int) -> tuple:
     """Canonical representative of (mu, mu'') modulo mu -> mu + c*(1,..,1).
 
     The reduced-Wigner coefficients depend only on the shifted-weight
-    differences, which this simultaneous translation leaves fixed.
+    differences, which this simultaneous translation leaves fixed (see
+    drop_columns).
     """
-    mu_full = mu + (0,) * (d - len(mu))
-    mupp_full = mupp + (0,) * (d - 1 - len(mupp))
-    c = mu_full[-1]
-    return (
-        tuple(v - c for v in mu_full),
-        tuple(v - c for v in mupp_full),
-    )
+    c = mu[d - 1] if len(mu) == d else 0
+    return drop_columns(mu, c), drop_columns(mupp, c)
 
 
 def gate_count_report(n: int, d: int) -> GateCountReport:

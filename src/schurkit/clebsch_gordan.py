@@ -33,7 +33,14 @@ import numpy as np
 
 from .bases import enumerate_gz, format_ssyt, gz_to_ssyt
 from .jsonform import lists, pairs
-from .partitions import Partition, add_box, dim_Q, format_partition, interlacing_set
+from .partitions import (
+    Partition,
+    add_box,
+    dim_Q,
+    drop_columns,
+    format_partition,
+    interlacing_set,
+)
 from .wigner import _row as _wigner_row
 
 # Cost per column, in dense multiply-adds, of an operand row held in a
@@ -118,12 +125,13 @@ def _entries(lam_parts: tuple, d: int) -> tuple:
     mu' + e_j' among the patterns of lambda + e_j, its values times
     T(lambda, j, mu', j'). Each nonzero coefficient moves one segment of the
     lower entries, and all segments are gathered by one index, so every
-    entry comes from exactly one lower entry. Every block at d = 1 is the
-    same 1 x 1 identity.
+    entry comes from exactly one lower entry. A lambda in d rows has the
+    table of lambda - lambda_d*1^d (see drop_columns), at every level, so
+    every block at d = 1 is the same 1 x 1 identity.
     """
+    if len(lam_parts) == d:
+        return _entries(drop_columns(lam_parts, lam_parts[-1]), d)
     if d == 1:
-        if lam_parts:
-            return _entries((), 1)
         unit = np.array([[0], [0], [1]], dtype=np.int32)  # (r, p, i)
         return (0, 1), _frozen(unit), _frozen(np.ones(1))
     # Per mu': its run start, its coefficient row and, per group j', the
@@ -307,8 +315,12 @@ class CgBlock:
         stacked column (p, i) of cg_block(nu, d) among the product's stacked
         rows times the d levels of the next qudit, that is row rows.start + p
         at level i - 1. Raises RuntimeError, naming the cascade step |lambda|
-        and lambda, unless together they hit each position once.
+        and lambda, unless together they hit each position once. A lambda in
+        d rows reads, and is checked, as lambda - lambda_d*1^d, whose block
+        it shares.
         """
+        if len(self.lam) == self.d:
+            return cg_block(_representative(self.lam), self.d).feeds
         d, feeds, hits = self.d, [], []
         for _, nu, rows in cg_rows(self.lam, d):
             nxt = cg_block(nu, d)
@@ -429,6 +441,11 @@ def _stack_by_weight(row_ids, col_ids, rows, cols, vals, d: int, boxes: int):
     return row_order, col_order, tuple(blocks)
 
 
+def _representative(lam: Partition) -> Partition:
+    """lambda - lambda_d*1^d for lambda in d = len(lambda) rows."""
+    return Partition._trusted(drop_columns(lam.parts, lam.parts[-1]))
+
+
 @cache
 def cg_rows(lam: Partition, d: int) -> tuple:
     """The row layout of cg_block(lambda, d): ((j, lambda + e_j, rows), ...).
@@ -452,12 +469,17 @@ def cg_block(lam: Partition, d: int) -> CgBlock:
 
     Rows are laid out by cg_rows; columns run over GZ patterns of lambda in
     canonical order, then i in 1..d. Unitary by construction (verified in
-    tests to 1e-12).
+    tests to 1e-12). A lambda in d rows shares the stored arrays of
+    lambda - lambda_d*1^d (see drop_columns): both label their rows and
+    columns alike, pattern by pattern, and have the same entries.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if len(lam) > d:
         raise ValueError(f"lambda={lam} needs more than d={d} rows")
+    if len(lam) == d:
+        base = cg_block(_representative(lam), d)
+        return CgBlock(lam, d, base.rows, base.cols, base.blocks)
     rows = cg_rows(lam, d)
     row_ids = np.concatenate([_patterns(nu.parts, d)[1] for _, nu, _ in rows])
     col_ids = _columns(lam.parts, d).reshape(-1)

@@ -196,6 +196,19 @@ def remove_box_set(lam: Partition) -> list[Partition]:
     return [mu for mu in removals if mu is not None]
 
 
+def drop_columns(parts: tuple, c: int) -> tuple:
+    """The parts of lambda less c in every row: lambda without its first c
+    columns, for c at most each row that those columns span.
+
+    With lambda in d rows and c = lambda_d this is the translation
+    lambda -> lambda - c*1^d. Q_lambda^d = Q_{lambda - c*1^d}^d (x) det^c,
+    so the two share their CG block, and the reduced Wigner coefficients of
+    (mu, mu') at d, which read only differences of shifted weights, are
+    those of (mu - c*1^d, mu' - c*1^{d-1}) whenever mu'_{d-1} >= c.
+    """
+    return tuple(v - c for v in parts if v > c)
+
+
 def _weyl_product(lam: Partition, d: int) -> int:
     """prod_{1<=i<j<=d}(lambda_i - lambda_j + j - i), the numerator of dim_Q."""
     shifted = [x - i for i, x in enumerate(lam.parts + (0,) * (d - len(lam)))]

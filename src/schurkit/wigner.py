@@ -43,7 +43,7 @@ from operator import ge
 
 import numpy as np
 
-from .partitions import Partition, remove_box
+from .partitions import Partition, drop_columns, remove_box
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,16 @@ def _row(mu_parts: tuple, mup_parts: tuple, d: int) -> tuple:
     all t, so each num and den is a few exact integer steps, dividing out
     the one factor that j' (or j) leaves out; each coefficient is the
     correctly rounded sign * sqrt(num / den).
+
+    A pair with mu_d >= 1 whose mu' spans d - 1 rows, each at least mu_d,
+    reads the row of (mu - mu_d*1^d, mu' - mu_d*1^{d-1}): every factor is a
+    difference of shifted weights, so the row is the same in every bit. Any
+    other pair, a non-interlacing one with mu'_{d-1} < mu_d among them,
+    takes the direct path (which gives it zeros).
     """
+    c = mu_parts[-1] if len(mu_parts) == d > 1 else 0
+    if c and len(mup_parts) == d - 1 and mup_parts[-1] >= c:
+        return _row(drop_columns(mu_parts, c), drop_columns(mup_parts, c), d)
     mu, js, mt, den_js = _shifted(mu_parts, d, 0)
     mup, jps, mpt, den_jps = _shifted(mup_parts, d - 1, 1)
     jps = (0, *jps)

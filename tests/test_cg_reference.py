@@ -137,12 +137,22 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return a.view(np.int64)
 
 
-CASES = [
-    (lam, d)
-    for d in range(2, 6)
-    for n in range(7)
-    for lam in enumerate_partitions(d, n)
-] + [(P(2, 1), 6), (P(3, 1, 1), 6)]
+def _lifted(mu: Partition, c: int, d: int) -> Partition:
+    """mu + c*1^d: a block that cg_block shares with that of mu."""
+    return Partition([v + c for v in mu.parts + (0,) * (d - len(mu))])
+
+
+CASES = (
+    [(lam, d) for d in range(2, 6) for n in range(7) for lam in enumerate_partitions(d, n)]
+    + [(P(2, 1), 6), (P(3, 1, 1), 6)]
+    + [(_lifted(P(a), c, 2), 2) for a in range(7) for c in range(1, 4)]
+    + [
+        (_lifted(mu, c, 3), 3)
+        for n in range(7)
+        for mu in enumerate_partitions(3, n)
+        for c in (1, 2)
+    ]
+)
 
 
 @pytest.mark.parametrize("d", sorted({d for _, d in CASES}))

@@ -284,6 +284,29 @@ def test_unequal_weight_class_raises(monkeypatch):
         cg_block.cache_clear()
 
 
+def test_translation_class_builds_once(monkeypatch):
+    """lambda and lambda + c*1^d share one CG block, level tables and Wigner
+    rows: from empty caches, the blocks of the (20,2) program (steps 1-19,
+    109 partitions) stack one block per translation class, 20, and
+    evaluate 210 Wigner rows, where one build per partition made 109 and
+    824."""
+    from schurkit import clebsch_gordan, wigner
+
+    stacked, stack = [], clebsch_gordan._stack_by_weight
+    monkeypatch.setattr(
+        clebsch_gordan, "_stack_by_weight", lambda *args: stacked.append(args) or stack(*args)
+    )
+    for cached in (cg_block, clebsch_gordan._entries, clebsch_gordan._patterns, wigner._row):
+        cached.cache_clear()
+    for k in range(1, 20):
+        for lam in enumerate_partitions(2, k):
+            cg_block(lam, 2)
+    assert len(stacked) <= 20
+    assert wigner._row.cache_info().misses <= 210
+    shifted, base = cg_block(P(5, 2), 2), cg_block(P(3), 2)
+    assert shifted.lam == P(5, 2) and shifted.blocks[0] is base.blocks[0]
+
+
 def test_block_rejects_d_below_one():
     # an empty lambda fits in any number of rows, so only the d check catches it
     with pytest.raises(ValueError, match="d must be"):

@@ -123,6 +123,45 @@ def test_matrix_reads_each_coefficient_bit_for_bit():
     assert (checked, nonzero) == (6788, 549)
 
 
+def _lifted(mu: Partition, c: int, rows: int) -> Partition:
+    return Partition([v + c for v in mu.parts + (0,) * (rows - len(mu))])
+
+
+def test_shifted_pairs_give_the_same_matrix_bit_for_bit():
+    """Q_{mu + c*1^d} = Q_mu (x) det^c: the matrix of (mu + c*1^d,
+    mu'' + c*1^{d-1}) is that of (mu, mu''), byte for byte, over d = 2..5,
+    every mu and mu'' of up to 6 boxes and c = 1, 2."""
+    checked = nonzero = 0
+    for d in range(2, 6):
+        mus = [mu for k in range(7) for mu in enumerate_partitions(d, k)]
+        mupps = [m for k in range(7) for m in enumerate_partitions(d - 1, k)]
+        for mu in mus:
+            for mupp in mupps:
+                mat = reduced_wigner_matrix(mu, mupp, d)
+                for c in (1, 2):
+                    lifted = reduced_wigner_matrix(_lifted(mu, c, d), _lifted(mupp, c, d - 1), d)
+                    assert lifted.tobytes() == mat.tobytes(), (mu, mupp, d, c)
+                    checked += 1
+                nonzero += mat.any()
+    assert (checked, nonzero) == (3768, 761)
+
+
+def test_shifted_mu_against_a_non_interlacing_mu_pp_gives_zero():
+    """A shifted mu reads the row of its representative only when mu'
+    spans d - 1 rows, each at least mu_d: lowered together, these pairs
+    would interlace (and (1) against () is not zero)."""
+    cases = [
+        (P(2, 1), P(), 2),
+        (P(3, 2), P(1), 2),
+        (P(2, 1, 1), P(1), 3),
+        (P(3, 3, 2), P(3, 1), 3),
+        (P(2, 2, 2, 2), P(2, 2), 4),
+    ]
+    for mu, mupp, d in cases:
+        assert reduced_wigner_matrix(mu, mupp, d).tobytes() == bytes(8 * d * d), (mu, mupp, d)
+    assert reduced_wigner_matrix(P(1), P(), 2).any()
+
+
 def test_matrix_rejects_mu_beyond_d_rows():
     # The same input ReducedWignerQuery and cg_block reject.
     with pytest.raises(ValueError, match="mu="):
